@@ -1,30 +1,32 @@
 //! `dfck` — exhaustive crash-point sweep over every queue *and* structure
-//! variant.
+//! variant of the [`bench::dfck::Variant`] registry.
 //!
-//! For each of MSQ-Izraelevitz, General, General-Opt, Normalized,
-//! Normalized-Opt and LogQueue — plus the structure family of the `structs`
-//! crate (Treiber stack, linked-list set and bucketed hash map, each as
-//! Izraelevitz / General / Normalized, with LIFO- and membership-exactly-once
-//! oracles) — runs the seeded single-pair and multi-op workloads — and, for
-//! the maps, the resize-crossing window on a [`structs::MapConfig::tiny`]
-//! bucket array — once per possible crash point (count taken from
+//! Runs the rows of [`bench::dfck::matrix`]: for each of MSQ-Izraelevitz,
+//! General, General-Opt, Normalized, Normalized-Opt and LogQueue — plus the
+//! Treiber stack, linked-list set and bucketed hash map, each as Izraelevitz /
+//! General / Normalized — the pair and seeded multi-op workloads (for the
+//! maps, the resize-crossing window on a [`structs::MapConfig::tiny`] bucket
+//! array), once per possible crash point (count taken from
 //! [`pmem::Stats::crash_points`], never hard-coded) under *both* crash
 //! flavours — per-process faults (the PPM model) and full-system power
 //! failures (`/system`: unflushed cache lines roll back, verifying flush
 //! placement) — plus a nested sweep that injects a second crash inside the
 //! recovery triggered by the first. Every replay runs with the
 //! [`pmem::FlushAuditor`] and the [`pmem::HbAnalyzer`] armed and is checked
-//! against the exactly-once / durable-linearizability oracle. Exits non-zero
-//! on any oracle violation, auditor flag or happens-before flag. The per-crash-point replays fan out across worker threads
-//! (`DF_DFCK_THREADS`), keeping the full matrix inside the CI budget.
+//! against the exactly-once / durable-linearizability oracle of the variant's
+//! shape (FIFO, LIFO or set). Exits non-zero on any oracle violation, auditor
+//! flag or happens-before flag. The per-crash-point replays fan out across
+//! worker threads (`DF_DFCK_THREADS`), keeping the full matrix inside the CI
+//! budget.
 //!
 //! On top of the single-threaded matrix, the binary sweeps the **interleaved**
-//! dimension: the same variants driven by 2+ deterministic cooperative threads
+//! dimension: the same engine driven by 2+ deterministic cooperative threads
 //! under the [`pmem::ThreadScheduler`], enumerating (interleaving seed ×
 //! victim crash point) with the oracle generalized to linearization checking
 //! over the scheduler's global instruction clock. All six queue variants plus
-//! the General stack run concurrently by default (`DF_DFCK_CONC_VARIANTS`
-//! narrows the set for bounded CI jobs).
+//! the General stack and both detectable maps run concurrently by default
+//! (`DF_DFCK_CONC_VARIANTS` narrows the set for bounded CI jobs; an unknown
+//! label exits with status 2).
 //!
 //! ```text
 //! cargo run -p bench --release --bin dfck
@@ -47,98 +49,15 @@
 
 use std::time::Instant;
 
-use bench::dfck::{
-    sweep, sweep_system, ConcSweepReport, ConcWorkload, SweepReport, SweepVariant, Workload,
-};
-use bench::dfck_struct::{
-    self, ConcStructSweepReport, ConcStructWorkload, StructSweepReport, StructVariant,
-    StructWorkload,
-};
+use bench::dfck::{matrix, MatrixParams, SpecReport, Variant};
 use bench::env_u64;
 use bench::json::{emit, JsonRow};
+use bench::sweep::{ConcReport, Report};
 
-/// The queue and structure sweep reports share every aggregate the table and
-/// JSON rows need; this view lets one printer/row-builder serve both.
-struct ReportView<'a> {
-    variant_label: &'static str,
-    workload: &'static str,
-    nested: &'a [u64],
-    system: bool,
-    crash_points: u64,
-    replays: u64,
-    crashes_injected: u64,
-    recoveries: u64,
-    entry_retries: u64,
-    recovery_crashes: u64,
-    fast_ops: u64,
-    demotions: u64,
-    audit_flags: u64,
-    hb_flags: u64,
-    violations: &'a [String],
-}
-
-impl<'a> From<&'a SweepReport> for ReportView<'a> {
-    fn from(r: &'a SweepReport) -> Self {
-        ReportView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            nested: &r.nested,
-            system: r.system,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
-    }
-}
-
-impl<'a> From<&'a StructSweepReport> for ReportView<'a> {
-    fn from(r: &'a StructSweepReport) -> Self {
-        ReportView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            nested: &r.nested,
-            system: r.system,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
-    }
-}
-
-/// The sweep's display/JSON label, shared by the console table and the emitted
-/// rows so the committed baseline can be cross-referenced with CI logs.
-fn label(report: &ReportView<'_>) -> String {
-    let mut label = format!("{}/{}", report.variant_label, report.workload);
-    if !report.nested.is_empty() {
-        let gaps: Vec<String> = report.nested.iter().map(|g| g.to_string()).collect();
-        label.push_str(&format!("/nested{}", gaps.join("-")));
-    }
-    if report.system {
-        label.push_str("/system");
-    }
-    label
-}
-
-fn row(report: &ReportView<'_>) -> JsonRow {
+fn row(label: String, report: &Report) -> JsonRow {
     // Coverage rows have no throughput; `crashes_injected` is the
     // DF_REQUIRE_NONZERO signal (zero exactly when the sweep verified nothing).
-    JsonRow::new(label(report), 1, 0.0)
+    JsonRow::new(label, 1, 0.0)
         .with("crash_points", report.crash_points as f64)
         .with("replays", report.replays as f64)
         .with("crashes_injected", report.crashes_injected as f64)
@@ -152,109 +71,13 @@ fn row(report: &ReportView<'_>) -> JsonRow {
         .with("oracle_failures", report.violations.len() as f64)
 }
 
-/// The interleaved-sweep analogue of [`ReportView`]: one view over the queue
-/// and structure [`bench::sweep::ConcReport`]s.
-struct ConcView<'a> {
-    variant_label: &'static str,
-    workload: &'static str,
-    threads: usize,
-    seeds: usize,
-    nested: &'a [u64],
-    system: bool,
-    distinct_interleavings: u64,
-    crash_points: u64,
-    replays: u64,
-    crashes_injected: u64,
-    multi_victim: bool,
-    covictim_crashes: u64,
-    recoveries: u64,
-    entry_retries: u64,
-    recovery_crashes: u64,
-    fast_ops: u64,
-    demotions: u64,
-    audit_flags: u64,
-    hb_flags: u64,
-    violations: &'a [String],
-}
-
-impl<'a> From<&'a ConcSweepReport> for ConcView<'a> {
-    fn from(r: &'a ConcSweepReport) -> Self {
-        ConcView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            threads: r.threads,
-            seeds: r.seeds.len(),
-            nested: &r.nested,
-            system: r.system,
-            distinct_interleavings: r.distinct_interleavings,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            multi_victim: r.covictim_gap.is_some(),
-            covictim_crashes: r.covictim_crashes,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
-    }
-}
-
-impl<'a> From<&'a ConcStructSweepReport> for ConcView<'a> {
-    fn from(r: &'a ConcStructSweepReport) -> Self {
-        ConcView {
-            variant_label: r.variant.label(),
-            workload: r.workload,
-            threads: r.threads,
-            seeds: r.seeds.len(),
-            nested: &r.nested,
-            system: r.system,
-            distinct_interleavings: r.distinct_interleavings,
-            crash_points: r.crash_points,
-            replays: r.replays,
-            crashes_injected: r.crashes_injected,
-            multi_victim: r.covictim_gap.is_some(),
-            covictim_crashes: r.covictim_crashes,
-            recoveries: r.recoveries,
-            entry_retries: r.entry_retries,
-            recovery_crashes: r.recovery_crashes,
-            fast_ops: r.fast_ops,
-            demotions: r.demotions,
-            audit_flags: r.audit_flags,
-            hb_flags: r.hb_flags,
-            violations: &r.violations,
-        }
-    }
-}
-
-/// Interleaved-sweep label: `variant/workload/tN[/nestedG][/mv][/system]`
-/// (`/mv` = multi-victim: a co-victim pid crashes in the same replay).
-fn conc_label(report: &ConcView<'_>) -> String {
-    let mut label = format!(
-        "{}/{}/t{}",
-        report.variant_label, report.workload, report.threads
-    );
-    if !report.nested.is_empty() {
-        let gaps: Vec<String> = report.nested.iter().map(|g| g.to_string()).collect();
-        label.push_str(&format!("/nested{}", gaps.join("-")));
-    }
-    if report.multi_victim {
-        label.push_str("/mv");
-    }
-    if report.system {
-        label.push_str("/system");
-    }
-    label
-}
-
-fn conc_row(report: &ConcView<'_>) -> JsonRow {
-    JsonRow::new(conc_label(report), report.threads, 0.0)
-        .with("seeds", report.seeds as f64)
-        .with("distinct_interleavings", report.distinct_interleavings as f64)
+fn conc_row(label: String, report: &ConcReport) -> JsonRow {
+    JsonRow::new(label, report.threads, 0.0)
+        .with("seeds", report.seeds.len() as f64)
+        .with(
+            "distinct_interleavings",
+            report.distinct_interleavings as f64,
+        )
         .with("crash_points", report.crash_points as f64)
         .with("replays", report.replays as f64)
         .with("crashes_injected", report.crashes_injected as f64)
@@ -269,258 +92,132 @@ fn conc_row(report: &ConcView<'_>) -> JsonRow {
         .with("oracle_failures", report.violations.len() as f64)
 }
 
-fn main() {
-    let ops = env_u64("DF_DFCK_OPS", 8) as usize;
-    let seed = env_u64("DF_DFCK_SEED", 42);
-    let gap = env_u64("DF_DFCK_GAP", 0);
-    let conc_seeds = env_u64("DF_DFCK_CONC_SEEDS", 8);
-    let conc_threads = (env_u64("DF_DFCK_CONC_THREADS", 2) as usize).max(2);
-    let mv_gap = env_u64("DF_DFCK_MV_GAP", 3);
-    let conc_only = env_u64("DF_DFCK_CONC_ONLY", 0) != 0;
-    let conc_filter: Option<Vec<String>> = std::env::var("DF_DFCK_CONC_VARIANTS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|v| v.trim().to_string())
-                .filter(|v| !v.is_empty())
-                .collect()
-        });
-    let conc_wants =
-        |label: &str| conc_filter.as_ref().map_or(true, |f| f.iter().any(|v| v == label));
-    let workloads = [Workload::pair(), Workload::seeded(seed, ops)];
+/// Parse `DF_DFCK_CONC_VARIANTS`; an unknown label is a usage error (exit 2)
+/// rather than a silently dropped row.
+fn conc_variants() -> Option<Vec<Variant>> {
+    let raw = std::env::var("DF_DFCK_CONC_VARIANTS").ok()?;
+    let labels = raw.split(',').map(str::trim).filter(|v| !v.is_empty());
+    Some(
+        labels
+            .map(|label| {
+                Variant::from_label(label).unwrap_or_else(|| {
+                    let valid: Vec<&str> = Variant::all().iter().map(|v| v.label()).collect();
+                    eprintln!(
+                        "dfck: unknown variant {label:?} in DF_DFCK_CONC_VARIANTS; valid labels: {}",
+                        valid.join(", ")
+                    );
+                    std::process::exit(2);
+                })
+            })
+            .collect(),
+    )
+}
 
-    println!("# dfck — exhaustive crash-point sweep (multi-op seed {seed}, {ops} ops, nested gap {gap})");
+fn main() {
+    let params = MatrixParams {
+        multi_ops: env_u64("DF_DFCK_OPS", 8) as usize,
+        seed: env_u64("DF_DFCK_SEED", 42),
+        nested_gap: env_u64("DF_DFCK_GAP", 0),
+        conc_seeds: env_u64("DF_DFCK_CONC_SEEDS", 8),
+        conc_threads: (env_u64("DF_DFCK_CONC_THREADS", 2) as usize).max(2),
+        mv_gap: env_u64("DF_DFCK_MV_GAP", 3),
+        conc_only: env_u64("DF_DFCK_CONC_ONLY", 0) != 0,
+        conc_variants: conc_variants(),
+    };
+
+    println!(
+        "# dfck — exhaustive crash-point sweep (multi-op seed {}, {} ops, nested gap {})",
+        params.seed, params.multi_ops, params.nested_gap
+    );
 
     let wall = Instant::now();
     let mut rows = Vec::new();
     let mut failures = 0usize;
-    let mut reports = Vec::new();
-    let mut struct_reports = Vec::new();
-    if !conc_only {
-        for variant in SweepVariant::all() {
-            for workload in &workloads {
-                for nested in [None, Some(gap)] {
-                    // Per-process (PPM) sweeps, then the full-system sweeps that
-                    // additionally roll unflushed lines back — every variant's
-                    // flush discipline is now complete (DESIGN.md §7), so the whole
-                    // matrix runs under both crash flavours.
-                    reports.push(sweep(variant, workload, nested));
-                    reports.push(sweep_system(variant, workload, nested));
+    let (mut single_header, mut conc_header) = (false, false);
+    for spec in matrix(&params) {
+        let label = spec.label();
+        let violations = match spec.run() {
+            SpecReport::Single(report) => {
+                if !std::mem::replace(&mut single_header, true) {
+                    println!(
+                        "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
+                        "sweep",
+                        "crash pts",
+                        "replays",
+                        "crashes",
+                        "recoveries",
+                        "nested",
+                        "audit",
+                        "hb",
+                        "violations"
+                    );
                 }
+                println!(
+                    "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
+                    label,
+                    report.crash_points,
+                    report.replays,
+                    report.crashes_injected,
+                    report.recoveries + report.entry_retries,
+                    report.recovery_crashes,
+                    report.audit_flags,
+                    report.hb_flags,
+                    report.violations.len()
+                );
+                rows.push(row(label.clone(), &report));
+                report.violations
             }
-            // The adaptive fast path is on by default, and an uncontended
-            // single-threaded replay never demotes — so the rows above crash
-            // the fast path at every point. These extra rows pin the replayed
-            // queues to the full simulator so the slow path keeps dedicated
-            // single-threaded crash coverage too.
-            if variant.adaptive_capable() {
-                for workload in &workloads {
-                    let slow = workload.clone().slow_path();
-                    reports.push(sweep(variant, &slow, None));
-                    reports.push(sweep_system(variant, &slow, None));
+            SpecReport::Interleaved(report) => {
+                if !std::mem::replace(&mut conc_header, true) {
+                    println!(
+                        "# interleaved sweeps — {} seeds × {} scheduled threads",
+                        params.conc_seeds, params.conc_threads
+                    );
+                    println!(
+                        "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
+                        "sweep",
+                        "seeds",
+                        "interleavings",
+                        "crash pts",
+                        "replays",
+                        "crashes",
+                        "recoveries",
+                        "audit",
+                        "hb",
+                        "violations"
+                    );
                 }
+                println!(
+                    "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
+                    label,
+                    report.seeds.len(),
+                    report.distinct_interleavings,
+                    report.crash_points,
+                    report.replays,
+                    report.crashes_injected,
+                    report.recoveries + report.entry_retries,
+                    report.audit_flags,
+                    report.hb_flags,
+                    report.violations.len()
+                );
+                rows.push(conc_row(label.clone(), &report));
+                report.violations
             }
-        }
-        // The structure family (Treiber stack + linked-list set) under the same
-        // matrix: pair + seeded multi workloads, single + nested schedules, PPM +
-        // full-system crashes, flush auditor armed.
-        for variant in StructVariant::all() {
-            let struct_workloads = if variant.is_stack() {
-                [
-                    StructWorkload::stack_pair(),
-                    StructWorkload::stack_seeded(seed, ops),
-                ]
-            } else if variant.is_map() {
-                // The map's pair analogue crosses a bucket-array resize inside
-                // the swept window; the seeded multi workload shares the set's
-                // generator (same op alphabet) on the tiny bucket array.
-                [
-                    StructWorkload::map_resize(),
-                    StructWorkload::set_seeded(seed, ops),
-                ]
-            } else {
-                [
-                    StructWorkload::set_pair(),
-                    StructWorkload::set_seeded(seed, ops),
-                ]
-            };
-            for workload in &struct_workloads {
-                for nested in [None, Some(gap)] {
-                    struct_reports.push(dfck_struct::sweep(variant, workload, nested));
-                    struct_reports.push(dfck_struct::sweep_system(variant, workload, nested));
-                }
-            }
-        }
-    }
-    let views: Vec<ReportView<'_>> = reports
-        .iter()
-        .map(ReportView::from)
-        .chain(struct_reports.iter().map(ReportView::from))
-        .collect();
-    if !views.is_empty() {
-        println!(
-            "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
-            "sweep", "crash pts", "replays", "crashes", "recoveries", "nested", "audit", "hb", "violations"
-        );
-    }
-    for report in &views {
-        let label = label(report);
-        println!(
-            "{:<46} {:>12} {:>9} {:>9} {:>11} {:>9} {:>7} {:>5} {:>10}",
-            label,
-            report.crash_points,
-            report.replays,
-            report.crashes_injected,
-            report.recoveries + report.entry_retries,
-            report.recovery_crashes,
-            report.audit_flags,
-            report.hb_flags,
-            report.violations.len()
-        );
-        for v in report.violations {
+        };
+        for v in &violations {
             eprintln!("VIOLATION [{label}]: {v}");
         }
-        failures += report.violations.len();
-        rows.push(row(report));
-    }
-
-    // The interleaved matrix: (interleaving seed × victim crash point) over the
-    // scheduled concurrent pair workloads — every queue variant plus the
-    // General stack as the structure family's representative, under single +
-    // nested schedules and both crash flavours.
-    let seeds: Vec<u64> = (1..=conc_seeds).collect();
-    let mut conc_reports: Vec<ConcSweepReport> = Vec::new();
-    let mut conc_struct_reports: Vec<ConcStructSweepReport> = Vec::new();
-    if !seeds.is_empty() {
-        let w = ConcWorkload::pair(conc_threads);
-        for variant in SweepVariant::all() {
-            if !conc_wants(variant.label()) {
-                continue;
-            }
-            for nested in [&[] as &[u64], &[gap]] {
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &w, &seeds, nested, false,
-                ));
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &w, &seeds, nested, true,
-                ));
-            }
-            // The multi-victim row: the same (seed × crash point) matrix, but
-            // every scripted replay also crashes a co-victim pid, so one
-            // process's recovery races a peer that is itself recovering.
-            conc_reports.push(bench::dfck::sweep_interleaved_multi(
-                variant, &w, &seeds, &[], mv_gap, false,
-            ));
-            // The sensitized adaptive row: trip threshold 1, so the scheduled
-            // contention demotes fast-path operations inside the swept window
-            // and the crash-point enumeration covers the fast→slow demotion
-            // boundary plus the slow-path helping that follows a fast-path
-            // success (the production threshold of 2 consecutive lost CASes
-            // never trips inside these short scheduled windows).
-            if variant.adaptive_capable() {
-                let sens = w.clone().sensitized();
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &sens, &seeds, &[], false,
-                ));
-                conc_reports.push(bench::dfck::sweep_interleaved(
-                    variant, &sens, &seeds, &[], true,
-                ));
-            }
-        }
-        for (variant, sw) in [
-            (
-                StructVariant::StackGeneral,
-                ConcStructWorkload::stack_pair(conc_threads),
-            ),
-            (
-                StructVariant::MapGeneral,
-                ConcStructWorkload::map_pair(conc_threads),
-            ),
-            (
-                StructVariant::MapNormalized,
-                ConcStructWorkload::map_pair(conc_threads),
-            ),
-        ] {
-            if !conc_wants(variant.label()) {
-                continue;
-            }
-            for nested in [&[] as &[u64], &[gap]] {
-                conc_struct_reports.push(dfck_struct::sweep_interleaved(
-                    variant, &sw, &seeds, nested, false,
-                ));
-                conc_struct_reports.push(dfck_struct::sweep_interleaved(
-                    variant, &sw, &seeds, nested, true,
-                ));
-            }
-        }
-        // A wider map row: three scheduled pids race the resize trigger while
-        // the victim *and* a co-victim crash in the same replay.
-        if conc_wants(StructVariant::MapGeneral.label()) {
-            let sw3 = ConcStructWorkload::map_pair(conc_threads.max(3));
-            conc_struct_reports.push(dfck_struct::sweep_interleaved_multi(
-                StructVariant::MapGeneral,
-                &sw3,
-                &seeds,
-                &[],
-                mv_gap,
-                false,
-            ));
-        }
-    }
-    let conc_views: Vec<ConcView<'_>> = conc_reports
-        .iter()
-        .map(ConcView::from)
-        .chain(conc_struct_reports.iter().map(ConcView::from))
-        .collect();
-    if !conc_views.is_empty() {
-        println!(
-            "# interleaved sweeps — {} seeds × {} scheduled threads",
-            conc_seeds, conc_threads
-        );
-        println!(
-            "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
-            "sweep",
-            "seeds",
-            "interleavings",
-            "crash pts",
-            "replays",
-            "crashes",
-            "recoveries",
-            "audit",
-            "hb",
-            "violations"
-        );
-    }
-    for report in &conc_views {
-        let label = conc_label(report);
-        println!(
-            "{:<46} {:>7} {:>13} {:>12} {:>9} {:>9} {:>11} {:>7} {:>5} {:>10}",
-            label,
-            report.seeds,
-            report.distinct_interleavings,
-            report.crash_points,
-            report.replays,
-            report.crashes_injected,
-            report.recoveries + report.entry_retries,
-            report.audit_flags,
-            report.hb_flags,
-            report.violations.len()
-        );
-        for v in report.violations {
-            eprintln!("VIOLATION [{label}]: {v}");
-        }
-        failures += report.violations.len();
-        rows.push(conc_row(report));
+        failures += violations.len();
     }
 
     emit(
         "dfck",
         &[
-            ("multi_ops", ops as u64),
-            ("seed", seed),
-            ("nested_gap", gap),
-            ("conc_seeds", conc_seeds),
-            ("conc_threads", conc_threads as u64),
+            ("multi_ops", params.multi_ops as u64),
+            ("seed", params.seed),
+            ("nested_gap", params.nested_gap),
+            ("conc_seeds", params.conc_seeds),
+            ("conc_threads", params.conc_threads as u64),
         ],
         wall.elapsed().as_secs_f64(),
         &rows,

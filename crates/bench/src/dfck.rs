@@ -10,60 +10,83 @@
 //! nested mode, crashes *again* a fixed number of crash points later, which lands
 //! inside the recovery code the first crash triggered.
 //!
-//! After every replay the engine drains the queue (the uniform
-//! [`QueueHandle::drain`] hook) and checks an oracle over the full observable
-//! history — every operation's return value plus the final queue contents:
+//! One registry ([`Variant`]) covers every swept structure: the six queue
+//! variants and the Treiber stack, linked-list set and bucketed hash map, each
+//! as Izraelevitz / General / Normalized. Every variant is driven through the
+//! uniform [`StructHandle`] alphabet (queue handles through a small adapter),
+//! so one replay path serves them all; variants differ only in their *driver
+//! kind* — how a crash surfaces to the replay:
 //!
-//! * **exactly-once** for the detectable variants (General, Normalized, LogQueue):
-//!   the history must be *identical* to the crash-free run's, at every crash
-//!   point — crashes must be invisible;
-//! * **durable linearizability** for the Izraelevitz-transformed MSQ, which is
-//!   durable but *not* detectable: an interrupted operation may or may not have
-//!   taken effect, so the oracle accepts a history iff it is consistent with some
-//!   choice of applied/not-applied for each interrupted operation.
+//! * **Izraelevitz** (durable, not detectable): a crash unwinds to the driver
+//!   and the operation is recorded as interrupted;
+//! * **capsule** (General / Normalized, detectable): the runtime absorbs every
+//!   crash and the operation completes with its exact result;
+//! * **LogQueue** (detectable): the driver runs the log's recovery protocol.
+//!
+//! After every replay the engine drains the structure (bounded by the most
+//! elements the replay could leave behind, so a cyclic chain fails instead of
+//! hanging) and checks an oracle over the full observable history — every
+//! operation's return value plus the final contents — against one sequential
+//! model of the variant's [`Shape`] (FIFO, LIFO or set):
+//!
+//! * **exactly-once** for the detectable variants: the history must be
+//!   *identical* to the crash-free run's, at every crash point — crashes must
+//!   be invisible;
+//! * **durable linearizability** for the Izraelevitz variants: an interrupted
+//!   operation may or may not have taken effect, so the oracle accepts a
+//!   history iff it is consistent with some choice of applied/not-applied for
+//!   each interrupted operation.
 //!
 //! This is the verification discipline of kaist-cp/memento's per-crash-point
-//! detectability checks, applied to every queue variant in the workspace through
-//! one engine.
-//!
-//! The sweep engine itself (baseline, fan-out, report assembly, the oracle
-//! machinery) lives in [`crate::sweep`], shared with [`crate::dfck_struct`];
-//! this module contributes the queue drivers and workloads.
+//! detectability checks, applied to every variant in the workspace through one
+//! engine. The engine machinery (baseline, fan-out, report assembly, the
+//! oracle) lives in [`crate::sweep`].
 //!
 //! ## Interleaved sweeps: (schedule × crash point)
 //!
 //! [`sweep_interleaved`] extends the enumeration with a second axis: a
-//! deterministic cooperative interleaving of 2–3 worker processes driving
-//! *one shared queue* under [`pmem::ThreadScheduler`]. Each scheduler seed
+//! deterministic cooperative interleaving of 2–4 worker processes driving
+//! *one shared structure* under [`pmem::ThreadScheduler`]. Each scheduler seed
 //! picks a distinct instruction-level interleaving (reproducible bit-for-bit
 //! from the seed), a victim pid sweeps every crash point of its scheduled
 //! window, and the oracle generalizes from "identical to the crash-free
 //! history" to "consistent with *some* valid linearization of the concurrent
 //! history" ([`sweep::check_linearizable`]), with timestamps taken from the
 //! scheduler's global instruction clock.
+//!
+//! [`matrix`] lists the sweeps the `dfck` binary runs, in row order.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use capsules::{BoundaryStyle, CapsuleMetrics, ContentionMeasure};
+use capsules::{BoundaryStyle, CapsuleMetrics, CapsuleRuntime, ContentionMeasure};
 use pmem::{
     catch_crash, CrashPlan, MemConfig, Mode, PMem, PThread, SchedConfig, ThreadOptions,
     ThreadScheduler,
 };
 use queues::{
-    Durability, GeneralQueue, LogQueue, MsQueue, NormalizedQueue, QueueHandle, RecoveredOp,
+    Durability, GeneralQueue, GeneralQueueHandle, LogQueue, LogQueueHandle, MsQueue, MsqHandle,
+    NormalizedQueue, NormalizedQueueHandle, QueueHandle, RecoveredOp,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use structs::api::Drain;
+use structs::{
+    DetMap, DetMapHandle, GeneralDetMap, GeneralSet, GeneralStack, ListSet, ListSetHandle,
+    MapConfig, NormalizedDetMap, NormalizedSet, NormalizedStack, StructHandle, StructOp,
+    TreiberStack, TreiberStackHandle,
+};
 
 use crate::sweep::{self, OpOutcome, ReplayRecord, TimedOp, TurnGate};
 
-/// The queue variants the sweeper covers, one per recovery discipline (plus the
-/// hand-optimised capsule configurations, whose compact single-copy frames have
-/// their own flush-ordering obligations worth sweeping separately).
+/// Every swept variant: each queue recovery discipline (plus the
+/// hand-optimised capsule configurations, whose compact single-copy frames
+/// have their own flush-ordering obligations), and each structure shape as
+/// Izraelevitz flush-everything (durable, not detectable), General capsules
+/// and the Normalized simulator (both detectable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SweepVariant {
+pub enum Variant {
     /// MSQ + Izraelevitz construction: durably linearizable, *not* detectable.
     IzraelevitzMsq,
     /// The CAS-Read (General) transformation: detectable via capsules.
@@ -76,72 +99,168 @@ pub enum SweepVariant {
     NormalizedOpt,
     /// Friedman et al.'s LogQueue: detectable via its operation log.
     LogQueue,
+    /// Treiber stack + Izraelevitz construction.
+    StackIzraelevitz,
+    /// Treiber stack through the CAS-Read (General) transformation.
+    StackGeneral,
+    /// Treiber stack through the Persistent Normalized Simulator.
+    StackNormalized,
+    /// Harris–Michael list set + Izraelevitz construction.
+    SetIzraelevitz,
+    /// List set through the CAS-Read (General) transformation.
+    SetGeneral,
+    /// List set through the Persistent Normalized Simulator.
+    SetNormalized,
+    /// Bucketed hash map + Izraelevitz construction.
+    MapIzraelevitz,
+    /// Hash map through the CAS-Read (General) transformation.
+    MapGeneral,
+    /// Hash map through the Persistent Normalized Simulator.
+    MapNormalized,
 }
 
-impl SweepVariant {
+/// The sequential shape a variant implements, which picks its oracle model.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// A FIFO queue (`Enqueue` / `Dequeue`).
+    Fifo,
+    /// A LIFO stack (`Push` / `Pop`).
+    Lifo,
+    /// A set (`Insert` / `Remove` / `Contains`). The maps share this shape;
+    /// they are swept on [`MapConfig::tiny`] so the crash window crosses the
+    /// resize protocol.
+    Set,
+}
+
+impl Variant {
     /// Short label for tables and JSON rows.
     pub fn label(&self) -> &'static str {
         match self {
-            SweepVariant::IzraelevitzMsq => "MSQ-Izraelevitz",
-            SweepVariant::General => "General",
-            SweepVariant::GeneralOpt => "General-Opt",
-            SweepVariant::Normalized => "Normalized",
-            SweepVariant::NormalizedOpt => "Normalized-Opt",
-            SweepVariant::LogQueue => "LogQueue",
+            Variant::IzraelevitzMsq => "MSQ-Izraelevitz",
+            Variant::General => "General",
+            Variant::GeneralOpt => "General-Opt",
+            Variant::Normalized => "Normalized",
+            Variant::NormalizedOpt => "Normalized-Opt",
+            Variant::LogQueue => "LogQueue",
+            Variant::StackIzraelevitz => "Stack-Izraelevitz",
+            Variant::StackGeneral => "Stack-General",
+            Variant::StackNormalized => "Stack-Normalized",
+            Variant::SetIzraelevitz => "Set-Izraelevitz",
+            Variant::SetGeneral => "Set-General",
+            Variant::SetNormalized => "Set-Normalized",
+            Variant::MapIzraelevitz => "Map-Izraelevitz",
+            Variant::MapGeneral => "Map-General",
+            Variant::MapNormalized => "Map-Normalized",
         }
     }
 
-    /// Every swept variant.
-    pub fn all() -> Vec<SweepVariant> {
-        vec![
-            SweepVariant::IzraelevitzMsq,
-            SweepVariant::General,
-            SweepVariant::GeneralOpt,
-            SweepVariant::Normalized,
-            SweepVariant::NormalizedOpt,
-            SweepVariant::LogQueue,
+    /// Every swept variant, queues first, in matrix order.
+    pub fn all() -> [Variant; 15] {
+        [
+            Variant::IzraelevitzMsq,
+            Variant::General,
+            Variant::GeneralOpt,
+            Variant::Normalized,
+            Variant::NormalizedOpt,
+            Variant::LogQueue,
+            Variant::StackIzraelevitz,
+            Variant::StackGeneral,
+            Variant::StackNormalized,
+            Variant::SetIzraelevitz,
+            Variant::SetGeneral,
+            Variant::SetNormalized,
+            Variant::MapIzraelevitz,
+            Variant::MapGeneral,
+            Variant::MapNormalized,
         ]
+    }
+
+    /// The variant whose [`label`](Variant::label) is `label`, if any.
+    pub fn from_label(label: &str) -> Option<Variant> {
+        Variant::all().into_iter().find(|v| v.label() == label)
     }
 
     /// Whether the variant guarantees exactly-once (detectable) semantics, i.e.
     /// whether the strict oracle applies.
     pub fn detectable(&self) -> bool {
-        !matches!(self, SweepVariant::IzraelevitzMsq)
+        !matches!(
+            self,
+            Variant::IzraelevitzMsq
+                | Variant::StackIzraelevitz
+                | Variant::SetIzraelevitz
+                | Variant::MapIzraelevitz
+        )
     }
 
     /// Whether the variant has a contention-adaptive fast path (the four
-    /// capsule variants). Only these get the extra slow-path-pinned sweep
+    /// capsule queues). Only these get the extra slow-path-pinned sweep
     /// rows — the fast path is the default, so the simulator-only route
     /// would otherwise lose single-threaded crash coverage.
     pub fn adaptive_capable(&self) -> bool {
         matches!(
             self,
-            SweepVariant::General
-                | SweepVariant::GeneralOpt
-                | SweepVariant::Normalized
-                | SweepVariant::NormalizedOpt
+            Variant::General | Variant::GeneralOpt | Variant::Normalized | Variant::NormalizedOpt
         )
+    }
+
+    /// The variant's sequential shape.
+    pub fn shape(&self) -> Shape {
+        match self {
+            Variant::IzraelevitzMsq
+            | Variant::General
+            | Variant::GeneralOpt
+            | Variant::Normalized
+            | Variant::NormalizedOpt
+            | Variant::LogQueue => Shape::Fifo,
+            Variant::StackIzraelevitz | Variant::StackGeneral | Variant::StackNormalized => {
+                Shape::Lifo
+            }
+            _ => Shape::Set,
+        }
+    }
+
+    /// The non-detectable variants run with the Izraelevitz construction
+    /// (flush after every shared access).
+    fn thread_options(&self) -> ThreadOptions {
+        ThreadOptions {
+            izraelevitz: !self.detectable(),
+        }
     }
 }
 
-/// One workload operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// Enqueue this value.
-    Enqueue(u64),
-    /// Dequeue once.
-    Dequeue,
+impl Shape {
+    /// The operation that adds `v` to a structure of this shape (prefills
+    /// use it).
+    fn add(self, v: u64) -> StructOp {
+        match self {
+            Shape::Fifo => StructOp::Enqueue(v),
+            Shape::Lifo => StructOp::Push(v),
+            Shape::Set => StructOp::Insert(v),
+        }
+    }
 }
 
-/// A deterministic workload: a prefilled queue plus a fixed operation sequence.
+/// Whether `op` can leave an element behind (counted by the drain bounds).
+fn adds(op: &StructOp) -> bool {
+    matches!(
+        op,
+        StructOp::Enqueue(_) | StructOp::Push(_) | StructOp::Insert(_)
+    )
+}
+
+/// A deterministic workload: prefilled contents plus a fixed operation
+/// sequence of one [`Shape`].
 #[derive(Clone, Debug)]
 pub struct Workload {
-    /// Name used in reports ("pair", "multi", …).
+    /// Name used in reports ("pair", "multi", "map-resize", …).
     pub name: &'static str,
-    /// Values present in the queue before the swept window starts.
+    /// The shape every operation (and the prefill) belongs to.
+    pub shape: Shape,
+    /// Contents before the swept window: queue values enqueued in order,
+    /// stack values pushed bottom-up, or distinct set keys.
     pub prefill: Vec<u64>,
     /// The operations executed inside the swept window.
-    pub ops: Vec<Op>,
+    pub ops: Vec<StructOp>,
     /// Whether the replayed queues keep their contention-adaptive fast path
     /// (the default). [`Workload::slow_path`] pins it off so the matrix
     /// retains dedicated simulator-route crash coverage — an uncontended
@@ -151,45 +270,119 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// The canonical single-op-pair workload: one enqueue followed by one dequeue
-    /// on a lightly prefilled queue (so the dequeue hits a non-trivial head).
-    pub fn pair() -> Workload {
+    /// The canonical pair of a shape: on a lightly prefilled structure, one
+    /// enqueue + one dequeue (so the dequeue hits a non-trivial head), one
+    /// push + one pop, or one insert that lands mid-list plus one remove of a
+    /// prefilled key (both protocol paths, link CAS and mark + unlink).
+    pub fn pair(shape: Shape) -> Workload {
+        let (prefill, ops) = match shape {
+            Shape::Fifo => (
+                (0..4).map(|i| 10_000 + i).collect(),
+                vec![StructOp::Enqueue(1), StructOp::Dequeue],
+            ),
+            Shape::Lifo => (
+                (0..4).map(|i| 10_000 + i).collect(),
+                vec![StructOp::Push(1), StructOp::Pop],
+            ),
+            Shape::Set => (
+                vec![10, 20, 30],
+                vec![StructOp::Insert(15), StructOp::Remove(20)],
+            ),
+        };
         Workload {
             name: "pair",
-            prefill: (0..4).map(|i| 10_000 + i).collect(),
-            ops: vec![Op::Enqueue(1), Op::Dequeue],
+            shape,
+            prefill,
+            ops,
             adaptive: true,
         }
     }
 
-    /// A seeded multi-op workload: `nops` operations, each independently an
-    /// enqueue (fresh value) or a dequeue, drawn from a reproducible RNG.
-    pub fn seeded(seed: u64, nops: usize) -> Workload {
-        Workload::seeded_full(seed, nops, 3, 0)
+    /// The pair workload the matrix sweeps on `variant`: its shape's pair, or
+    /// for the maps the same membership paths as the set pair *plus* a
+    /// bucket-array resize inside the swept window — map replays build with
+    /// [`MapConfig::tiny`] (2 buckets, `max_chain` 3), so the sixth insert's
+    /// trigger fires mid-window and every crash point of the
+    /// freeze/copy/promote migration is enumerated.
+    pub fn pair_for(variant: Variant) -> Workload {
+        match variant {
+            Variant::MapIzraelevitz | Variant::MapGeneral | Variant::MapNormalized => Workload {
+                name: "map-resize",
+                shape: Shape::Set,
+                prefill: vec![10, 20, 30],
+                ops: vec![
+                    StructOp::Insert(15),
+                    StructOp::Insert(25),
+                    StructOp::Insert(15),
+                    StructOp::Remove(10),
+                    StructOp::Contains(15),
+                    StructOp::Remove(99),
+                ],
+                adaptive: true,
+            },
+            _ => Workload::pair(variant.shape()),
+        }
+    }
+
+    /// A seeded multi-op workload: `nops` operations drawn from a
+    /// reproducible RNG. `seeded(shape, seed, n)` is
+    /// `seeded_full(shape, seed, n, 3, 0)`.
+    pub fn seeded(shape: Shape, seed: u64, nops: usize) -> Workload {
+        Workload::seeded_full(shape, seed, nops, 3, 0)
     }
 
     /// The fully parameterised seeded workload generator (the surface the
-    /// property-based tests sample): `nops` operations on a queue prefilled with
-    /// `prefill` values, with every value offset by `value_base` so distinct
-    /// property cases produce disjoint value ranges. `seeded(seed, n)` is
-    /// `seeded_full(seed, n, 3, 0)`.
-    pub fn seeded_full(seed: u64, nops: usize, prefill: usize, value_base: u64) -> Workload {
+    /// property-based tests sample), offset by `base` so distinct property
+    /// cases produce disjoint value ranges.
+    ///
+    /// Queues and stacks: each operation is independently an add of a fresh
+    /// value or a remove, on `prefill` prefilled values. Sets: keys are drawn
+    /// from a small range around `base` (every other key prefilled) so
+    /// inserts, removes and membership tests all hit both their *true* and
+    /// *false* paths.
+    pub fn seeded_full(
+        shape: Shape,
+        seed: u64,
+        nops: usize,
+        prefill: usize,
+        base: u64,
+    ) -> Workload {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut next_value = value_base + 1;
-        let ops = (0..nops)
-            .map(|_| {
-                if rng.gen_bool(0.5) {
-                    let v = next_value;
-                    next_value += 1;
-                    Op::Enqueue(v)
-                } else {
-                    Op::Dequeue
-                }
-            })
-            .collect();
+        let (prefill, ops) = if shape == Shape::Set {
+            let span = (2 * prefill as u64 + 4).max(6);
+            let ops = (0..nops)
+                .map(|_| {
+                    let k = base + rng.gen_range(0..span);
+                    match rng.gen_range(0..3u64) {
+                        0 => StructOp::Insert(k),
+                        1 => StructOp::Remove(k),
+                        _ => StructOp::Contains(k),
+                    }
+                })
+                .collect();
+            ((0..prefill as u64).map(|i| base + 2 * i).collect(), ops)
+        } else {
+            let mut next_value = base + 1;
+            let ops = (0..nops)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        let v = next_value;
+                        next_value += 1;
+                        shape.add(v)
+                    } else if shape == Shape::Fifo {
+                        StructOp::Dequeue
+                    } else {
+                        StructOp::Pop
+                    }
+                })
+                .collect();
+            let prefill = (0..prefill as u64).map(|i| base + 10_000 + i).collect();
+            (prefill, ops)
+        };
         Workload {
             name: "multi",
-            prefill: (0..prefill as u64).map(|i| value_base + 10_000 + i).collect(),
+            shape,
+            prefill,
             ops,
             adaptive: true,
         }
@@ -207,17 +400,30 @@ impl Workload {
         };
         self
     }
+
+    /// Upper bound on the elements a replay can leave behind: the prefill
+    /// plus every add in the swept window (whether or not it completed — an
+    /// interrupted add may still have applied). Draining is bounded by this
+    /// figure so a cyclic chain produced by a recovery bug terminates the
+    /// replay with an over-long drain (an oracle violation carrying the
+    /// offending schedule) instead of hanging the sweep.
+    pub fn drain_bound(&self) -> usize {
+        self.prefill.len() + self.ops.iter().filter(|op| adds(op)).count()
+    }
 }
 
-/// A concurrent workload: per-pid operation sequences over one shared queue.
+/// A concurrent workload: per-pid operation sequences over one shared
+/// structure of one [`Shape`].
 #[derive(Clone, Debug)]
 pub struct ConcWorkload {
-    /// Name used in reports ("conc-pair", "conc-multi").
+    /// Name used in reports ("conc-pair", "conc-map", …).
     pub name: &'static str,
-    /// Values present in the queue before the scheduled window starts.
+    /// The shape every operation (and the prefill) belongs to.
+    pub shape: Shape,
+    /// Contents before the scheduled window starts.
     pub prefill: Vec<u64>,
     /// Per-pid operation sequences; `per_pid.len()` is the process count.
-    pub per_pid: Vec<Vec<Op>>,
+    pub per_pid: Vec<Vec<StructOp>>,
     /// Contention-trip-threshold override for the adaptive capsule variants
     /// (`None` = the production policy). The sensitized demotion sweeps set
     /// this to 1 so *any* lost fast-path CAS demotes the operation, making
@@ -227,28 +433,54 @@ pub struct ConcWorkload {
 }
 
 impl ConcWorkload {
-    /// The canonical concurrent pair workload: every pid enqueues one
-    /// distinctive value and dequeues once, on a lightly prefilled queue.
-    pub fn pair(threads: usize) -> ConcWorkload {
+    /// The canonical concurrent pair of a shape: every pid enqueues (pushes)
+    /// one distinctive value and dequeues (pops) once on a lightly prefilled
+    /// structure, or inserts a fresh mid-list key and removes a (for up to 3
+    /// pids) prefilled one.
+    pub fn pair(shape: Shape, threads: usize) -> ConcWorkload {
+        let pids = 0..threads as u64;
+        let (prefill, per_pid) = match shape {
+            Shape::Fifo => (
+                (0..4).map(|i| 10_000 + i).collect(),
+                pids.map(|p| vec![StructOp::Enqueue(100 + p), StructOp::Dequeue])
+                    .collect(),
+            ),
+            Shape::Lifo => (
+                (0..4).map(|i| 10_000 + i).collect(),
+                pids.map(|p| vec![StructOp::Push(100 + p), StructOp::Pop])
+                    .collect(),
+            ),
+            Shape::Set => (
+                vec![10, 20, 30],
+                pids.map(|p| vec![StructOp::Insert(11 + 2 * p), StructOp::Remove(10 * (p + 1))])
+                    .collect(),
+            ),
+        };
         ConcWorkload {
             name: "conc-pair",
-            prefill: (0..4).map(|i| 10_000 + i).collect(),
-            per_pid: (0..threads as u64)
-                .map(|p| vec![Op::Enqueue(100 + p), Op::Dequeue])
-                .collect(),
+            shape,
+            prefill,
+            per_pid,
             trip_threshold: None,
         }
     }
 
-    /// A seeded concurrent workload: every pid runs its own reproducible
-    /// operation sequence with a disjoint value range.
-    pub fn seeded(seed: u64, threads: usize, nops_per_pid: usize) -> ConcWorkload {
+    /// The canonical concurrent map workload: distinct inserts per pid on a
+    /// [`MapConfig::tiny`] map, so the pids race the resize trigger and the
+    /// migration helping paths against each other (and against the scripted
+    /// crashes) while the removes exercise tombstoning under contention.
+    pub fn map_pair(threads: usize) -> ConcWorkload {
         ConcWorkload {
-            name: "conc-multi",
-            prefill: (0..3).map(|i| 10_000 + i).collect(),
+            name: "conc-map",
+            shape: Shape::Set,
+            prefill: vec![10, 20, 30],
             per_pid: (0..threads as u64)
                 .map(|p| {
-                    Workload::seeded_full(seed ^ (p + 1), nops_per_pid, 0, (p + 1) << 32).ops
+                    vec![
+                        StructOp::Insert(11 + 2 * p),
+                        StructOp::Insert(40 + p),
+                        StructOp::Remove(10 * (p + 1)),
+                    ]
                 })
                 .collect(),
             trip_threshold: None,
@@ -264,7 +496,6 @@ impl ConcWorkload {
         self.trip_threshold = Some(1);
         self.name = match self.name {
             "conc-pair" => "conc-pair-trip1",
-            "conc-multi" => "conc-multi-trip1",
             other => other,
         };
         self
@@ -276,71 +507,268 @@ impl ConcWorkload {
     }
 
     /// Upper bound on the elements a replay can leave behind (see
-    /// [`drain_bound`]): the prefill plus every enqueue of every pid.
+    /// [`Workload::drain_bound`]): the prefill plus every add of every pid.
     pub fn drain_bound(&self) -> usize {
-        self.prefill.len()
-            + self
-                .per_pid
-                .iter()
-                .flatten()
-                .filter(|op| matches!(op, Op::Enqueue(_)))
-                .count()
+        self.prefill.len() + self.per_pid.iter().flatten().filter(|op| adds(op)).count()
     }
 }
 
-/// The FIFO reference model the oracles run against.
+/// The sequential reference model the oracles run against: a FIFO queue, a
+/// LIFO stack or an ordered set.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct FifoModel(VecDeque<u64>);
+enum Model {
+    Fifo(VecDeque<u64>),
+    Lifo(Vec<u64>),
+    Set(BTreeSet<u64>),
+}
 
-impl sweep::SeqModel for FifoModel {
-    type Op = Op;
-    fn apply(&mut self, op: Op) -> Option<u64> {
-        match op {
-            Op::Enqueue(v) => {
-                self.0.push_back(v);
+impl Model {
+    fn initial(shape: Shape, prefill: &[u64]) -> Model {
+        match shape {
+            Shape::Fifo => Model::Fifo(prefill.iter().copied().collect()),
+            Shape::Lifo => Model::Lifo(prefill.to_vec()),
+            Shape::Set => Model::Set(prefill.iter().copied().collect()),
+        }
+    }
+}
+
+impl sweep::SeqModel for Model {
+    type Op = StructOp;
+    fn apply(&mut self, op: StructOp) -> Option<u64> {
+        match (self, op) {
+            (Model::Fifo(q), StructOp::Enqueue(v)) => {
+                q.push_back(v);
                 None
             }
-            Op::Dequeue => self.0.pop_front(),
+            (Model::Fifo(q), StructOp::Dequeue) => q.pop_front(),
+            (Model::Lifo(s), StructOp::Push(v)) => {
+                s.push(v);
+                None
+            }
+            (Model::Lifo(s), StructOp::Pop) => s.pop(),
+            (Model::Set(s), StructOp::Insert(k)) => Some(s.insert(k) as u64),
+            (Model::Set(s), StructOp::Remove(k)) => Some(s.remove(&k) as u64),
+            (Model::Set(s), StructOp::Contains(k)) => Some(s.contains(&k) as u64),
+            _ => unreachable!("operation does not match the workload shape"),
         }
     }
     fn final_drain(&self) -> Vec<u64> {
-        self.0.iter().copied().collect()
+        match self {
+            Model::Fifo(q) => q.iter().copied().collect(),
+            // Stacks drain top-down.
+            Model::Lifo(s) => s.iter().rev().copied().collect(),
+            // Sets snapshot ascending.
+            Model::Set(s) => s.iter().copied().collect(),
+        }
     }
 }
 
-/// Aggregate result of sweeping one (variant, workload) combination
-/// (the shared [`sweep::Report`] instantiated at the queue variants).
-pub type SweepReport = sweep::Report<SweepVariant>;
+/// What a replay drives: the uniform [`StructHandle`] alphabet plus the
+/// capsule runtime, for the variants that have one (its metrics are the
+/// replay's recovery counters; it also takes the crash flavour).
+trait SweptHandle<'t, 'm>: StructHandle {
+    fn runtime(&mut self) -> Option<&mut CapsuleRuntime<'t, 'm>> {
+        None
+    }
+}
 
-/// Aggregate result of an interleaved (schedule × crash point) sweep
-/// (the shared [`sweep::ConcReport`] instantiated at the queue variants).
-pub type ConcSweepReport = sweep::ConcReport<SweepVariant>;
+/// Gives a queue handle the `Enqueue` / `Dequeue` half of [`StructOp`].
+struct QueueOps<H>(H);
 
-/// Upper bound on the elements a replay of `workload` can leave behind:
-/// the prefill plus every enqueue in the swept window (whether or not it
-/// completed — an interrupted enqueue may still have applied). Draining is
-/// bounded by this figure so a cyclic next-pointer chain produced by a
-/// recovery bug terminates the replay with an over-long drain (an oracle
-/// violation carrying the offending schedule) instead of hanging the sweep.
-fn drain_bound(workload: &Workload) -> usize {
-    workload.prefill.len()
-        + workload
-            .ops
-            .iter()
-            .filter(|op| matches!(op, Op::Enqueue(_)))
-            .count()
+impl<H: QueueHandle> StructHandle for QueueOps<H> {
+    fn apply(&mut self, op: StructOp) -> Option<u64> {
+        match op {
+            StructOp::Enqueue(v) => {
+                self.0.enqueue(v);
+                None
+            }
+            StructOp::Dequeue => self.0.dequeue(),
+            other => panic!("queue handle cannot apply {other:?}"),
+        }
+    }
+    fn drain_up_to(&mut self, max: usize) -> Drain {
+        let items = self.0.drain_up_to(max);
+        Drain {
+            truncated: max > 0 && items.len() == max,
+            items,
+        }
+    }
+}
+
+impl<'t, 'm> SweptHandle<'t, 'm> for QueueOps<MsqHandle<'_, 't, 'm>> {}
+impl<'t, 'm> SweptHandle<'t, 'm> for QueueOps<LogQueueHandle<'_, 't, 'm>> {}
+impl<'t, 'm> SweptHandle<'t, 'm> for TreiberStackHandle<'_, 't, 'm> {}
+impl<'t, 'm> SweptHandle<'t, 'm> for ListSetHandle<'_, 't, 'm> {}
+impl<'t, 'm> SweptHandle<'t, 'm> for DetMapHandle<'_, 't, 'm> {}
+
+impl<'t, 'm> SweptHandle<'t, 'm> for QueueOps<GeneralQueueHandle<'_, 't, 'm>> {
+    fn runtime(&mut self) -> Option<&mut CapsuleRuntime<'t, 'm>> {
+        Some(self.0.runtime_mut())
+    }
+}
+
+impl<'t, 'm> SweptHandle<'t, 'm> for QueueOps<NormalizedQueueHandle<'_, 't, 'm>> {
+    fn runtime(&mut self) -> Option<&mut CapsuleRuntime<'t, 'm>> {
+        Some(self.0.runtime_mut())
+    }
+}
+
+macro_rules! capsule_handles {
+    ($($ty:ident),*) => {$(
+        impl<'t, 'm> SweptHandle<'t, 'm> for structs::$ty<'_, 't, 'm> {
+            fn runtime(&mut self) -> Option<&mut CapsuleRuntime<'t, 'm>> {
+                Some(self.runtime_mut())
+            }
+        }
+    )*};
+}
+
+capsule_handles!(
+    GeneralStackHandle,
+    NormalizedStackHandle,
+    GeneralSetHandle,
+    NormalizedSetHandle,
+    GeneralDetMapHandle,
+    NormalizedDetMapHandle
+);
+
+/// One constructed structure of any variant.
+enum Built {
+    Msq(MsQueue),
+    GeneralQueue(GeneralQueue),
+    NormalizedQueue(NormalizedQueue),
+    LogQueue(LogQueue),
+    Treiber(TreiberStack),
+    GeneralStack(GeneralStack),
+    NormalizedStack(NormalizedStack),
+    ListSet(ListSet),
+    GeneralSet(GeneralSet),
+    NormalizedSet(NormalizedSet),
+    DetMap(DetMap),
+    GeneralMap(GeneralDetMap),
+    NormalizedMap(NormalizedDetMap),
+}
+
+/// How a variant's driver turns a crash into an outcome — the only real
+/// difference between variants (see the module docs).
+#[derive(Clone, Copy)]
+enum DriverKind<'a> {
+    Izraelevitz,
+    Capsule,
+    Log(&'a LogQueue),
+}
+
+impl Built {
+    /// Build `variant` for `nprocs` processes from `t`. `adaptive` pins the
+    /// capsule queues' fast path off when false (`slow_path` workloads);
+    /// otherwise they keep the `DF_ADAPTIVE` default, so the default matrix
+    /// crashes the fast path. `trip_threshold` sensitizes their contention
+    /// policy.
+    fn new(
+        variant: Variant,
+        t: &PThread<'_>,
+        nprocs: usize,
+        adaptive: bool,
+        trip_threshold: Option<u32>,
+    ) -> Built {
+        let adaptive = adaptive && capsules::adaptive_enabled();
+        let contention = trip_threshold.map(|th| ContentionMeasure::new().with_threshold(th));
+        match variant {
+            Variant::IzraelevitzMsq => Built::Msq(MsQueue::new(t)),
+            Variant::General | Variant::GeneralOpt => {
+                let style = if variant == Variant::GeneralOpt {
+                    BoundaryStyle::Compact
+                } else {
+                    BoundaryStyle::General
+                };
+                let mut q =
+                    GeneralQueue::new(t, nprocs, Durability::Manual, style).with_adaptive(adaptive);
+                if let Some(policy) = contention {
+                    q = q.with_contention(policy);
+                }
+                Built::GeneralQueue(q)
+            }
+            Variant::Normalized | Variant::NormalizedOpt => {
+                let optimised = variant == Variant::NormalizedOpt;
+                let mut q = NormalizedQueue::new(t, nprocs, Durability::Manual, optimised)
+                    .with_adaptive(adaptive);
+                if let Some(policy) = contention {
+                    q = q.with_contention(policy);
+                }
+                Built::NormalizedQueue(q)
+            }
+            Variant::LogQueue => Built::LogQueue(LogQueue::new(t, nprocs)),
+            Variant::StackIzraelevitz => Built::Treiber(TreiberStack::new(t)),
+            Variant::StackGeneral => {
+                Built::GeneralStack(GeneralStack::new(t, nprocs, true, BoundaryStyle::General))
+            }
+            Variant::StackNormalized => {
+                Built::NormalizedStack(NormalizedStack::new(t, nprocs, true, false))
+            }
+            Variant::SetIzraelevitz => Built::ListSet(ListSet::new(t)),
+            Variant::SetGeneral => {
+                Built::GeneralSet(GeneralSet::new(t, nprocs, true, BoundaryStyle::General))
+            }
+            Variant::SetNormalized => {
+                Built::NormalizedSet(NormalizedSet::new(t, nprocs, true, false))
+            }
+            Variant::MapIzraelevitz => Built::DetMap(DetMap::new(t, MapConfig::tiny())),
+            Variant::MapGeneral => Built::GeneralMap(GeneralDetMap::new(
+                t,
+                nprocs,
+                MapConfig::tiny(),
+                true,
+                BoundaryStyle::General,
+            )),
+            Variant::MapNormalized => Built::NormalizedMap(NormalizedDetMap::new(
+                t,
+                nprocs,
+                MapConfig::tiny(),
+                true,
+                false,
+            )),
+        }
+    }
+
+    /// A fresh per-thread handle.
+    fn handle<'a, 'm>(&'a self, t: &'a PThread<'m>) -> Box<dyn SweptHandle<'a, 'm> + 'a> {
+        match self {
+            Built::Msq(q) => Box::new(QueueOps(q.handle(t))),
+            Built::GeneralQueue(q) => Box::new(QueueOps(q.handle(t))),
+            Built::NormalizedQueue(q) => Box::new(QueueOps(q.handle(t))),
+            Built::LogQueue(q) => Box::new(QueueOps(q.handle(t))),
+            Built::Treiber(s) => Box::new(s.handle(t)),
+            Built::GeneralStack(s) => Box::new(s.handle(t)),
+            Built::NormalizedStack(s) => Box::new(s.handle(t)),
+            Built::ListSet(s) => Box::new(s.handle(t)),
+            Built::GeneralSet(s) => Box::new(s.handle(t)),
+            Built::NormalizedSet(s) => Box::new(s.handle(t)),
+            Built::DetMap(m) => Box::new(m.handle(t)),
+            Built::GeneralMap(m) => Box::new(m.handle(t)),
+            Built::NormalizedMap(m) => Box::new(m.handle(t)),
+        }
+    }
+
+    fn driver_kind(&self) -> DriverKind<'_> {
+        match self {
+            Built::Msq(_) | Built::Treiber(_) | Built::ListSet(_) | Built::DetMap(_) => {
+                DriverKind::Izraelevitz
+            }
+            Built::LogQueue(q) => DriverKind::Log(q),
+            _ => DriverKind::Capsule,
+        }
+    }
 }
 
 /// Run one operation through the LogQueue's detectable-recovery protocol
 /// (documented on `LogQueue::logged_seq`), retrying through crashes — nested
-/// ones included — until the operation's exact result is known. Shared by the
-/// single-threaded replays and the scheduled concurrent workers; crashes are
+/// ones included — until the operation's exact result is known. Crashes are
 /// applied kill-aware via [`sweep::apply_driver_crash`].
-fn log_queue_op<H: QueueHandle>(
+fn log_queue_op<H: StructHandle + ?Sized>(
     q: &LogQueue,
     t: &PThread<'_>,
     h: &mut H,
-    op: Op,
+    op: StructOp,
     system: bool,
     recoveries: &Cell<u64>,
     recovery_crashes: &Cell<u64>,
@@ -370,14 +798,7 @@ fn log_queue_op<H: QueueHandle>(
     };
     loop {
         let seq_before = read_only(&|| q.logged_seq(t), false);
-        let attempt = catch_crash(|| match op {
-            Op::Enqueue(v) => {
-                h.enqueue(v);
-                None
-            }
-            Op::Dequeue => h.dequeue(),
-        });
-        match attempt {
+        match catch_crash(|| h.apply(op)) {
             Ok(ret) => break ret,
             Err(_) => {
                 crashed(false);
@@ -401,13 +822,13 @@ fn log_queue_op<H: QueueHandle>(
                         // The log entry is marked done: the operation
                         // completed before the crash.
                         break match op {
-                            Op::Enqueue(_) => None,
-                            Op::Dequeue => loop {
+                            StructOp::Dequeue => loop {
                                 match catch_crash(|| q.logged_result(t)) {
                                     Ok(r) => break r,
                                     Err(_) => crashed(true),
                                 }
                             },
+                            _ => None,
                         };
                     }
                     RecoveredOp::EnqueueApplied => break None,
@@ -415,6 +836,96 @@ fn log_queue_op<H: QueueHandle>(
                     RecoveredOp::EnqueueNotApplied | RecoveredOp::DequeueNotApplied => continue,
                 }
             }
+        }
+    }
+}
+
+/// One process's replay driver: its handle plus its variant's
+/// [`DriverKind`] and recovery bookkeeping.
+struct Driver<'a, 'm> {
+    t: &'a PThread<'m>,
+    h: Box<dyn SweptHandle<'a, 'm> + 'a>,
+    kind: DriverKind<'a>,
+    system: bool,
+    /// LogQueue recovery passes and crashes inside them.
+    recoveries: Cell<u64>,
+    recovery_crashes: Cell<u64>,
+    /// Capsule-runtime counters at the start of the window.
+    before: CapsuleMetrics,
+}
+
+impl<'a, 'm> Driver<'a, 'm> {
+    /// A fresh handle on `built`, with the capsule runtime (if any) set to
+    /// the replay's crash flavour.
+    fn new(built: &'a Built, t: &'a PThread<'m>, system: bool) -> Driver<'a, 'm> {
+        let mut h = built.handle(t);
+        if let Some(rt) = h.runtime() {
+            rt.set_system_crashes(system);
+        }
+        Driver {
+            t,
+            h,
+            kind: built.driver_kind(),
+            system,
+            recoveries: Cell::new(0),
+            recovery_crashes: Cell::new(0),
+            before: CapsuleMetrics::default(),
+        }
+    }
+
+    fn metrics(&mut self) -> CapsuleMetrics {
+        self.h.runtime().map(|rt| rt.metrics()).unwrap_or_default()
+    }
+
+    /// Start the measured window: later [`Driver::counters`] are relative to
+    /// this point.
+    fn start(&mut self) {
+        self.before = self.metrics();
+    }
+
+    fn run(&mut self, op: StructOp) -> OpOutcome {
+        match self.kind {
+            // No recovery protocol: a crash unwinds to here, and the process
+            // cannot tell whether the interrupted operation took effect (that
+            // is the point of Figure 5's comparison). Record the ambiguity
+            // for the oracle and move on.
+            DriverKind::Izraelevitz => match catch_crash(|| self.h.apply(op)) {
+                Ok(ret) => OpOutcome::Completed(ret),
+                Err(_) => {
+                    sweep::apply_driver_crash(self.t, self.system);
+                    OpOutcome::Interrupted
+                }
+            },
+            // The capsule runtime absorbs every crash inside `run_op`: the
+            // operation completes with its exact result no matter where the
+            // schedule fires. That completion *is* the detectability claim
+            // the oracle then verifies.
+            DriverKind::Capsule => OpOutcome::Completed(self.h.apply(op)),
+            DriverKind::Log(q) => OpOutcome::Completed(log_queue_op(
+                q,
+                self.t,
+                &mut *self.h,
+                op,
+                self.system,
+                &self.recoveries,
+                &self.recovery_crashes,
+            )),
+        }
+    }
+
+    /// The window's recovery counters: the capsule runtime's deltas since
+    /// [`Driver::start`] plus the LogQueue protocol's own passes (each kind
+    /// contributes zero to the other's).
+    fn counters(&mut self) -> CapsuleMetrics {
+        let (now, before) = (self.metrics(), self.before);
+        CapsuleMetrics {
+            recoveries: now.recoveries - before.recoveries + self.recoveries.get(),
+            entry_retries: now.entry_retries - before.entry_retries,
+            recovery_crashes: now.recovery_crashes - before.recovery_crashes
+                + self.recovery_crashes.get(),
+            fast_ops: now.fast_ops - before.fast_ops,
+            demotions: now.demotions - before.demotions,
+            ..CapsuleMetrics::default()
         }
     }
 }
@@ -427,12 +938,17 @@ fn log_queue_op<H: QueueHandle>(
 /// history oracle, any flush-ordering violation is caught *at the faulting
 /// instruction* and reported with the replay (all swept variants claim a
 /// complete flush discipline, so the auditor must stay silent).
-fn replay(
-    variant: SweepVariant,
+pub(crate) fn replay(
+    variant: Variant,
     workload: &Workload,
     plan: &CrashPlan,
     system: bool,
 ) -> ReplayRecord {
+    assert_eq!(
+        variant.shape(),
+        workload.shape,
+        "workload shape must match the variant"
+    );
     pmem::install_quiet_crash_hook();
     let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
     mem.flush_auditor().arm();
@@ -440,244 +956,64 @@ fn replay(
     // below pick the armed bit up at construction): every crash point is also
     // checked for synchronization- and persist-order discipline.
     mem.hb().arm();
-    let audit_of = |mem: &PMem| (mem.flush_auditor().flags(), mem.flush_auditor().take_reports());
-    let hb_of = |mem: &PMem| (mem.hb().flags(), mem.hb().take_reports());
-    // Every drain below is bounded: `bound + 1` dequeues is enough to prove a
+    // Every drain below is bounded: `bound + 1` elements is enough to prove a
     // corrupted (cyclic) chain without ever spinning on it.
-    let bound = drain_bound(workload);
-    match variant {
-        SweepVariant::IzraelevitzMsq => {
-            let t = mem.thread_with(0, ThreadOptions { izraelevitz: true });
-            let q = MsQueue::new(&t);
-            let mut h = q.handle(&t);
-            for &v in &workload.prefill {
-                h.enqueue(v);
-            }
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if plan.remaining() > 0 {
-                t.set_crash_schedule(plan.clone());
-            }
-            let mut outcomes = Vec::with_capacity(workload.ops.len());
-            for &op in &workload.ops {
-                // The plain MSQ has no recovery protocol: a crash unwinds to
-                // here, and the process cannot tell whether the interrupted
-                // operation took effect (that is the point of Figure 5's
-                // comparison). Record the ambiguity for the oracle and move on.
-                let outcome = catch_crash(|| match op {
-                    Op::Enqueue(v) => {
-                        h.enqueue(v);
-                        None
-                    }
-                    Op::Dequeue => h.dequeue(),
-                });
-                outcomes.push(match outcome {
-                    Ok(ret) => OpOutcome::Completed(ret),
-                    Err(_) => {
-                        sweep::apply_driver_crash(&t, system);
-                        OpOutcome::Interrupted
-                    }
-                });
-            }
-            let window = t.stats();
-            t.disarm_crashes();
-            let drained = h.drain_up_to(bound + 1);
-            let (audit_flags, audit_reports) = audit_of(&mem);
-            let (hb_flags, hb_reports) = hb_of(&mem);
-            ReplayRecord {
-                outcomes,
-                drain_overflow: drained.len() > bound,
-                drained,
-                crash_points: window.crash_points,
-                crashes: window.crashes,
-                recoveries: 0,
-                entry_retries: 0,
-                recovery_crashes: 0,
-                fast_ops: 0,
-                demotions: 0,
-                audit_flags,
-                audit_reports,
-                hb_flags,
-                hb_reports,
-            }
-        }
-        SweepVariant::General
-        | SweepVariant::GeneralOpt
-        | SweepVariant::Normalized
-        | SweepVariant::NormalizedOpt => {
-            enum H<'q, 't, 'm> {
-                G(queues::GeneralQueueHandle<'q, 't, 'm>),
-                N(queues::NormalizedQueueHandle<'q, 't, 'm>),
-            }
-            impl H<'_, '_, '_> {
-                fn run(&mut self, op: Op) -> Option<u64> {
-                    let h: &mut dyn QueueHandle = match self {
-                        H::G(h) => h,
-                        H::N(h) => h,
-                    };
-                    match op {
-                        Op::Enqueue(v) => {
-                            h.enqueue(v);
-                            None
-                        }
-                        Op::Dequeue => h.dequeue(),
-                    }
-                }
-                fn drain_up_to(&mut self, max: usize) -> Vec<u64> {
-                    match self {
-                        H::G(h) => h.drain_up_to(max),
-                        H::N(h) => h.drain_up_to(max),
-                    }
-                }
-                fn metrics(&mut self) -> CapsuleMetrics {
-                    match self {
-                        H::G(h) => h.runtime_mut().metrics(),
-                        H::N(h) => h.runtime_mut().metrics(),
-                    }
-                }
-            }
-            let t = mem.thread(0);
-            let general;
-            let normalized;
-            let mut h = match variant {
-                SweepVariant::General | SweepVariant::GeneralOpt => {
-                    let style = if variant == SweepVariant::GeneralOpt {
-                        BoundaryStyle::Compact
-                    } else {
-                        BoundaryStyle::General
-                    };
-                    // `slow_path` workloads pin the simulator route; adaptive
-                    // workloads keep the queue's own default (the `DF_ADAPTIVE`
-                    // knob), so the default matrix crashes the fast path.
-                    general = GeneralQueue::new(&t, 1, Durability::Manual, style)
-                        .with_adaptive(workload.adaptive && capsules::adaptive_enabled());
-                    H::G(general.handle(&t))
-                }
-                _ => {
-                    let optimised = variant == SweepVariant::NormalizedOpt;
-                    normalized = NormalizedQueue::new(&t, 1, Durability::Manual, optimised)
-                        .with_adaptive(workload.adaptive && capsules::adaptive_enabled());
-                    H::N(normalized.handle(&t))
-                }
-            };
-            match &mut h {
-                H::G(hh) => hh.runtime_mut().set_system_crashes(system),
-                H::N(hh) => hh.runtime_mut().set_system_crashes(system),
-            }
-            for &v in &workload.prefill {
-                h.run(Op::Enqueue(v));
-            }
-            mem.persist_everything();
-            let metrics_before = h.metrics();
-            let _ = t.take_stats();
-            if plan.remaining() > 0 {
-                t.set_crash_schedule(plan.clone());
-            }
-            // The capsule runtime absorbs every crash inside `run_op`: the
-            // operation completes with its exact result no matter where the
-            // schedule fires. That completion *is* the detectability claim the
-            // oracle then verifies against the crash-free history.
-            let outcomes = workload
-                .ops
-                .iter()
-                .map(|&op| OpOutcome::Completed(h.run(op)))
-                .collect();
-            let window = t.stats();
-            t.disarm_crashes();
-            let drained = h.drain_up_to(bound + 1);
-            let metrics = h.metrics();
-            let (audit_flags, audit_reports) = audit_of(&mem);
-            let (hb_flags, hb_reports) = hb_of(&mem);
-            ReplayRecord {
-                outcomes,
-                drain_overflow: drained.len() > bound,
-                drained,
-                crash_points: window.crash_points,
-                crashes: window.crashes,
-                recoveries: metrics.recoveries - metrics_before.recoveries,
-                entry_retries: metrics.entry_retries - metrics_before.entry_retries,
-                recovery_crashes: metrics.recovery_crashes - metrics_before.recovery_crashes,
-                fast_ops: metrics.fast_ops - metrics_before.fast_ops,
-                demotions: metrics.demotions - metrics_before.demotions,
-                audit_flags,
-                audit_reports,
-                hb_flags,
-                hb_reports,
-            }
-        }
-        SweepVariant::LogQueue => {
-            let t = mem.thread(0);
-            let q = LogQueue::new(&t, 1);
-            let mut h = q.handle(&t);
-            for &v in &workload.prefill {
-                h.enqueue(v);
-            }
-            mem.persist_everything();
-            let _ = t.take_stats();
-            if plan.remaining() > 0 {
-                t.set_crash_schedule(plan.clone());
-            }
-            let recoveries = Cell::new(0u64);
-            let recovery_crashes = Cell::new(0u64);
-            let outcomes = workload
-                .ops
-                .iter()
-                .map(|&op| {
-                    OpOutcome::Completed(log_queue_op(
-                        &q,
-                        &t,
-                        &mut h,
-                        op,
-                        system,
-                        &recoveries,
-                        &recovery_crashes,
-                    ))
-                })
-                .collect();
-            let window = t.stats();
-            t.disarm_crashes();
-            let drained = h.drain_up_to(bound + 1);
-            let (audit_flags, audit_reports) = audit_of(&mem);
-            let (hb_flags, hb_reports) = hb_of(&mem);
-            ReplayRecord {
-                outcomes,
-                drain_overflow: drained.len() > bound,
-                drained,
-                crash_points: window.crash_points,
-                crashes: window.crashes,
-                recoveries: recoveries.get(),
-                entry_retries: 0,
-                recovery_crashes: recovery_crashes.get(),
-                fast_ops: 0,
-                demotions: 0,
-                audit_flags,
-                audit_reports,
-                hb_flags,
-                hb_reports,
-            }
-        }
+    let bound = workload.drain_bound();
+    let t = mem.thread_with(0, variant.thread_options());
+    let built = Built::new(variant, &t, 1, workload.adaptive, None);
+    let mut d = Driver::new(&built, &t, system);
+    for &v in &workload.prefill {
+        let _ = d.h.apply(workload.shape.add(v));
+    }
+    mem.persist_everything();
+    d.start();
+    let _ = t.take_stats();
+    if plan.remaining() > 0 {
+        t.set_crash_schedule(plan.clone());
+    }
+    let outcomes = workload.ops.iter().map(|&op| d.run(op)).collect();
+    let window = t.stats();
+    t.disarm_crashes();
+    // `truncated` covers the marked-node-cycle case, where a set walk hits
+    // the node cap without collecting an over-long key list.
+    let drained = d.h.drain_up_to(bound + 1);
+    let c = d.counters();
+    ReplayRecord {
+        outcomes,
+        drain_overflow: drained.truncated || drained.items.len() > bound,
+        drained: drained.items,
+        crash_points: window.crash_points,
+        crashes: window.crashes,
+        recoveries: c.recoveries,
+        entry_retries: c.entry_retries,
+        recovery_crashes: c.recovery_crashes,
+        fast_ops: c.fast_ops,
+        demotions: c.demotions,
+        audit_flags: mem.flush_auditor().flags(),
+        audit_reports: mem.flush_auditor().take_reports(),
+        hb_flags: mem.hb().flags(),
+        hb_reports: mem.hb().take_reports(),
     }
 }
 
-/// Check one replayed history against the oracle.
-///
-/// The model is a plain FIFO queue over 64-bit values, driven through the
-/// shared forked-model checker ([`sweep::check_sequential`]): for every
-/// interrupted operation (non-detectable variants only) the model forks into
-/// "applied" and "not applied" branches, and the replay passes iff at least
-/// one branch reproduces every completed operation's return value *and* the
-/// final drained contents.
-fn check_history(workload: &Workload, r: &ReplayRecord) -> Result<(), String> {
+/// Check one replayed history against the oracle: the shape's sequential
+/// model driven through the shared forked-model checker
+/// ([`sweep::check_sequential`]). For every interrupted operation
+/// (non-detectable variants only) the model forks into "applied" and "not
+/// applied" branches, and the replay passes iff at least one branch
+/// reproduces every completed operation's return value *and* the final
+/// drained contents.
+pub(crate) fn check_history(workload: &Workload, r: &ReplayRecord) -> Result<(), String> {
     if r.drain_overflow {
         return Err(format!(
             "drain returned {} elements but at most {} could have survived the \
-             replay — corrupted (cyclic?) next-pointer chain",
+             replay — corrupted (cyclic?) chain",
             r.drained.len(),
-            drain_bound(workload)
+            workload.drain_bound()
         ));
     }
     sweep::check_sequential(
-        FifoModel(workload.prefill.iter().copied().collect()),
+        Model::initial(workload.shape, &workload.prefill),
         &workload.ops,
         &r.outcomes,
         &r.drained,
@@ -692,8 +1028,8 @@ fn check_history(workload: &Workload, r: &ReplayRecord) -> Result<(), String> {
 /// `nested_gap = None` injects exactly one crash per replay (at point `k`);
 /// `Some(gap)` injects a second crash `gap` crash points after the first, which
 /// for `gap` near zero lands inside the recovery triggered by the first crash —
-/// the crash-during-recovery schedules of the issue's Definition 2.2 argument.
-pub fn sweep(variant: SweepVariant, workload: &Workload, nested_gap: Option<u64>) -> SweepReport {
+/// the crash-during-recovery schedules of the Definition 2.2 argument.
+pub fn sweep(variant: Variant, workload: &Workload, nested_gap: Option<u64>) -> sweep::Report {
     let nested: Vec<u64> = nested_gap.into_iter().collect();
     sweep_plan(variant, workload, &nested, false)
 }
@@ -707,10 +1043,10 @@ pub fn sweep(variant: SweepVariant, workload: &Workload, nested_gap: Option<u64>
 /// published-but-unflushed announcement state and `check_recovery` re-applied
 /// the CAS, duplicating an element).
 pub fn sweep_system(
-    variant: SweepVariant,
+    variant: Variant,
     workload: &Workload,
     nested_gap: Option<u64>,
-) -> SweepReport {
+) -> sweep::Report {
     let nested: Vec<u64> = nested_gap.into_iter().collect();
     sweep_plan(variant, workload, &nested, true)
 }
@@ -726,50 +1062,53 @@ pub fn sweep_system(
 /// count (default: `available_parallelism`, capped at 8). Results are merged in
 /// `k` order, so reports are deterministic regardless of the worker count.
 pub fn sweep_plan(
-    variant: SweepVariant,
+    variant: Variant,
     workload: &Workload,
     nested: &[u64],
     system: bool,
-) -> SweepReport {
+) -> sweep::Report {
     sweep_plan_with_workers(variant, workload, nested, system, None)
 }
 
 /// [`sweep_plan`] with an explicit worker count (`None` ⇒
 /// [`sweep::sweep_workers`]); lets tests compare sequential and parallel runs
 /// without racing on the process environment.
-fn sweep_plan_with_workers(
-    variant: SweepVariant,
+pub(crate) fn sweep_plan_with_workers(
+    variant: Variant,
     workload: &Workload,
     nested: &[u64],
     system: bool,
     workers_override: Option<usize>,
-) -> SweepReport {
+) -> sweep::Report {
     sweep::run_sweep(
         variant,
-        &format!("dfck trace: {variant:?} {}", workload.name),
         workload.name,
         nested,
         system,
-        variant.detectable(),
         workers_override,
         |plan| replay(variant, workload, plan, system),
         |r| check_history(workload, r),
     )
 }
 
-/// Run one *scheduled* replay: the workload's pids drive one shared queue
+/// Run one *scheduled* replay: the workload's pids drive one shared structure
 /// under the deterministic [`ThreadScheduler`] seeded with `sched_seed`;
 /// `plans` assigns each victim/co-victim pid its crash schedule, and
 /// full-system crashes kill the scheduled peers through the scheduler. Public
 /// so the determinism tests can compare fingerprints and timed histories
 /// across runs; sweeps go through [`sweep_interleaved`].
 pub fn conc_replay(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     sched_seed: u64,
     plans: &sweep::VictimPlans,
     system: bool,
-) -> sweep::ConcReplayRecord<Op> {
+) -> sweep::ConcReplayRecord<StructOp> {
+    assert_eq!(
+        variant.shape(),
+        w.shape,
+        "workload shape must match the variant"
+    );
     pmem::install_quiet_crash_hook();
     let threads = w.threads();
     let victim = plans.victim();
@@ -804,87 +1143,28 @@ pub fn conc_replay(
     // exists and the discipline is exact) keep the auditor armed; the
     // scheduled replays disarm it and rely on the linearization oracle plus
     // the /system rollback semantics to catch real durability bugs.
-    let opts = ThreadOptions {
-        izraelevitz: variant == SweepVariant::IzraelevitzMsq,
-    };
+    let opts = variant.thread_options();
     let bound = w.drain_bound();
 
-    enum Q {
-        Msq(MsQueue),
-        Gen(GeneralQueue),
-        Norm(NormalizedQueue),
-        Log(LogQueue),
-    }
     // Build and prefill from the helper pid, unscheduled and crash-free, then
     // make the prefill durable so it survives any later rollback.
-    let q = {
+    let built = {
         let t = mem.thread_with(helper, opts);
-        match variant {
-            SweepVariant::IzraelevitzMsq => {
-                let q = MsQueue::new(&t);
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Msq(q)
-            }
-            SweepVariant::General | SweepVariant::GeneralOpt => {
-                let style = if variant == SweepVariant::GeneralOpt {
-                    BoundaryStyle::Compact
-                } else {
-                    BoundaryStyle::General
-                };
-                let mut q = GeneralQueue::new(&t, nprocs, Durability::Manual, style);
-                if let Some(threshold) = w.trip_threshold {
-                    q = q.with_contention(ContentionMeasure::new().with_threshold(threshold));
-                }
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Gen(q)
-            }
-            SweepVariant::Normalized | SweepVariant::NormalizedOpt => {
-                let optimised = variant == SweepVariant::NormalizedOpt;
-                let mut q = NormalizedQueue::new(&t, nprocs, Durability::Manual, optimised);
-                if let Some(threshold) = w.trip_threshold {
-                    q = q.with_contention(ContentionMeasure::new().with_threshold(threshold));
-                }
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Norm(q)
-            }
-            SweepVariant::LogQueue => {
-                let q = LogQueue::new(&t, nprocs);
-                {
-                    let mut h = q.handle(&t);
-                    for &v in &w.prefill {
-                        h.enqueue(v);
-                    }
-                }
-                Q::Log(q)
-            }
+        let built = Built::new(variant, &t, nprocs, true, w.trip_threshold);
+        let mut h = built.handle(&t);
+        for &v in &w.prefill {
+            let _ = h.apply(w.shape.add(v));
         }
+        drop(h);
+        built
     };
     mem.persist_everything();
 
     struct PidOut {
-        history: Vec<TimedOp<Op>>,
+        history: Vec<TimedOp<StructOp>>,
         crash_points: u64,
         crashes: u64,
-        recoveries: u64,
-        entry_retries: u64,
-        recovery_crashes: u64,
-        fast_ops: u64,
-        demotions: u64,
+        counters: CapsuleMetrics,
     }
 
     let sched = ThreadScheduler::new(SchedConfig::new(threads, sched_seed));
@@ -893,148 +1173,21 @@ pub fn conc_replay(
         let handles: Vec<_> = (0..threads)
             .map(|pid| {
                 let sched = Arc::clone(&sched);
-                let (mem, q, gate) = (&mem, &q, &gate);
-                let ops: &[Op] = &w.per_pid[pid];
+                let (mem, built, gate) = (&mem, &built, &gate);
+                let ops: &[StructOp] = &w.per_pid[pid];
                 s.spawn(move || {
                     let t = mem.thread_with(pid, opts);
                     gate.wait_for(pid);
-                    match q {
-                        Q::Msq(q) => {
-                            let mut h = q.handle(&t);
-                            gate.advance(pid);
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    match catch_crash(|| match op {
-                                        Op::Enqueue(v) => {
-                                            h.enqueue(v);
-                                            None
-                                        }
-                                        Op::Dequeue => h.dequeue(),
-                                    }) {
-                                        Ok(ret) => OpOutcome::Completed(ret),
-                                        Err(_) => {
-                                            sweep::apply_driver_crash(&t, system);
-                                            OpOutcome::Interrupted
-                                        }
-                                    }
-                                },
-                            );
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: 0,
-                                entry_retries: 0,
-                                recovery_crashes: 0,
-                                fast_ops: 0,
-                                demotions: 0,
-                            }
-                        }
-                        Q::Gen(q) => {
-                            let mut h = q.handle(&t);
-                            h.runtime_mut().set_system_crashes(system);
-                            gate.advance(pid);
-                            let before = h.runtime_mut().metrics();
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    OpOutcome::Completed(match op {
-                                        Op::Enqueue(v) => {
-                                            h.enqueue(v);
-                                            None
-                                        }
-                                        Op::Dequeue => h.dequeue(),
-                                    })
-                                },
-                            );
-                            let m = h.runtime_mut().metrics();
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: m.recoveries - before.recoveries,
-                                entry_retries: m.entry_retries - before.entry_retries,
-                                recovery_crashes: m.recovery_crashes - before.recovery_crashes,
-                                fast_ops: m.fast_ops - before.fast_ops,
-                                demotions: m.demotions - before.demotions,
-                            }
-                        }
-                        Q::Norm(q) => {
-                            let mut h = q.handle(&t);
-                            h.runtime_mut().set_system_crashes(system);
-                            gate.advance(pid);
-                            let before = h.runtime_mut().metrics();
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    OpOutcome::Completed(match op {
-                                        Op::Enqueue(v) => {
-                                            h.enqueue(v);
-                                            None
-                                        }
-                                        Op::Dequeue => h.dequeue(),
-                                    })
-                                },
-                            );
-                            let m = h.runtime_mut().metrics();
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: m.recoveries - before.recoveries,
-                                entry_retries: m.entry_retries - before.entry_retries,
-                                recovery_crashes: m.recovery_crashes - before.recovery_crashes,
-                                fast_ops: m.fast_ops - before.fast_ops,
-                                demotions: m.demotions - before.demotions,
-                            }
-                        }
-                        Q::Log(q) => {
-                            let mut h = q.handle(&t);
-                            gate.advance(pid);
-                            let recoveries = Cell::new(0u64);
-                            let recovery_crashes = Cell::new(0u64);
-                            let (history, window) = sweep::run_scheduled_window(
-                                &t,
-                                &sched,
-                                pid,
-                                plans,
-                                ops,
-                                |op| {
-                                    OpOutcome::Completed(log_queue_op(
-                                        q,
-                                        &t,
-                                        &mut h,
-                                        op,
-                                        system,
-                                        &recoveries,
-                                        &recovery_crashes,
-                                    ))
-                                },
-                            );
-                            PidOut {
-                                history,
-                                crash_points: window.crash_points,
-                                crashes: window.crashes,
-                                recoveries: recoveries.get(),
-                                entry_retries: 0,
-                                recovery_crashes: recovery_crashes.get(),
-                                fast_ops: 0,
-                                demotions: 0,
-                            }
-                        }
+                    let mut d = Driver::new(built, &t, system);
+                    gate.advance(pid);
+                    d.start();
+                    let (history, window) =
+                        sweep::run_scheduled_window(&t, &sched, pid, plans, ops, |op| d.run(op));
+                    PidOut {
+                        history,
+                        crash_points: window.crash_points,
+                        crashes: window.crashes,
+                        counters: d.counters(),
                     }
                 })
             })
@@ -1049,40 +1202,29 @@ pub fn conc_replay(
     // joined.
     let drained = {
         let t = mem.thread_with(helper, opts);
-        match &q {
-            Q::Msq(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-            Q::Gen(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-            Q::Norm(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-            Q::Log(q) => {
-                let mut h = q.handle(&t);
-                h.drain_up_to(bound + 1)
-            }
-        }
+        let mut h = built.handle(&t);
+        h.drain_up_to(bound + 1)
     };
+    let sum = |f: fn(&CapsuleMetrics) -> u64| -> u64 { outs.iter().map(|o| f(&o.counters)).sum() };
+    let v = &outs[victim];
     sweep::ConcReplayRecord {
-        history: outs.iter().flat_map(|o| o.history.iter().copied()).collect(),
-        drain_overflow: drained.len() > bound,
-        drained,
+        history: outs
+            .iter()
+            .flat_map(|o| o.history.iter().copied())
+            .collect(),
+        drain_overflow: drained.truncated || drained.items.len() > bound,
+        drained: drained.items,
         fingerprint: sched.fingerprint(),
-        victim_crash_points: outs[victim].crash_points,
-        victim_crashes: outs[victim].crashes,
+        victim_crash_points: v.crash_points,
+        victim_crashes: v.crashes,
         covictim_crashes: plans.covictim_pids().map(|p| outs[p].crashes).sum(),
-        victim_recovery_actions: outs[victim].recoveries + outs[victim].entry_retries,
+        victim_recovery_actions: v.counters.recoveries + v.counters.entry_retries,
         crashes: outs.iter().map(|o| o.crashes).sum(),
-        recoveries: outs.iter().map(|o| o.recoveries).sum(),
-        entry_retries: outs.iter().map(|o| o.entry_retries).sum(),
-        recovery_crashes: outs.iter().map(|o| o.recovery_crashes).sum(),
-        fast_ops: outs.iter().map(|o| o.fast_ops).sum(),
-        demotions: outs.iter().map(|o| o.demotions).sum(),
+        recoveries: sum(|c| c.recoveries),
+        entry_retries: sum(|c| c.entry_retries),
+        recovery_crashes: sum(|c| c.recovery_crashes),
+        fast_ops: sum(|c| c.fast_ops),
+        demotions: sum(|c| c.demotions),
         audit_flags: 0,
         audit_reports: Vec::new(),
         hb_flags: mem.hb().flags(),
@@ -1091,21 +1233,21 @@ pub fn conc_replay(
 }
 
 /// The interleaved sweep: enumerate (interleaving seed × crash point) for one
-/// queue variant. For every seed, the crash-free scheduled baseline learns how
-/// many crash points the victim pid (`seed % threads`, rotating across the
-/// seed set) passes, then every one of them is replayed with the scripted
-/// schedule `[k, nested…]` — under per-process (`system = false`) or
-/// full-system (`system = true`) crash semantics. Histories are checked with
-/// the linearization oracle ([`sweep::check_linearizable`]); detectable
-/// variants must additionally complete every operation exactly-once and run a
-/// recovery action on the victim for every injected crash.
+/// variant. For every seed, the crash-free scheduled baseline learns how many
+/// crash points the victim pid (`seed % threads`, rotating across the seed
+/// set) passes, then every one of them is replayed with the scripted schedule
+/// `[k, nested…]` — under per-process (`system = false`) or full-system
+/// (`system = true`) crash semantics. Histories are checked with the
+/// linearization oracle ([`sweep::check_linearizable`]); detectable variants
+/// must additionally complete every operation exactly-once and run a recovery
+/// action on the victim for every injected crash.
 pub fn sweep_interleaved(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     seeds: &[u64],
     nested: &[u64],
     system: bool,
-) -> ConcSweepReport {
+) -> sweep::ConcReport {
     sweep_interleaved_with_workers(variant, w, seeds, nested, None, system, None)
 }
 
@@ -1117,47 +1259,312 @@ pub fn sweep_interleaved(
 /// recovering. The report's `covictim_crashes` counts how often the second
 /// schedule actually fired; the engine fails the sweep if it never did.
 pub fn sweep_interleaved_multi(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     seeds: &[u64],
     nested: &[u64],
     covictim_gap: u64,
     system: bool,
-) -> ConcSweepReport {
+) -> sweep::ConcReport {
     sweep_interleaved_with_workers(variant, w, seeds, nested, Some(covictim_gap), system, None)
 }
 
 /// [`sweep_interleaved`] with an explicit fan-out worker count (`None` ⇒
 /// [`sweep::sweep_workers`]); lets tests compare sequential and parallel runs.
 fn sweep_interleaved_with_workers(
-    variant: SweepVariant,
+    variant: Variant,
     w: &ConcWorkload,
     seeds: &[u64],
     nested: &[u64],
     covictim_gap: Option<u64>,
     system: bool,
     workers_override: Option<usize>,
-) -> ConcSweepReport {
+) -> sweep::ConcReport {
     sweep::run_conc_sweep(
         variant,
-        &format!("dfck conc trace: {variant:?} {}", w.name),
         w.name,
         w.threads(),
         seeds,
         nested,
         covictim_gap,
         system,
-        variant.detectable(),
         workers_override,
-        || FifoModel(w.prefill.iter().copied().collect()),
+        || Model::initial(w.shape, &w.prefill),
         |seed, plans| conc_replay(variant, w, seed, plans, system),
     )
 }
 
+/// The knobs that shape the `dfck` binary's matrix (its `DF_DFCK_*`
+/// environment, parsed by the binary).
+#[derive(Clone, Debug)]
+pub struct MatrixParams {
+    /// Operations in the seeded multi-op workloads.
+    pub multi_ops: usize,
+    /// Seed of the multi-op workloads.
+    pub seed: u64,
+    /// Crash-point gap of the nested (crash-during-recovery) rows.
+    pub nested_gap: u64,
+    /// Interleaving seeds per concurrent sweep (0 = no interleaved rows).
+    pub conc_seeds: u64,
+    /// Scheduled worker pids per concurrent replay.
+    pub conc_threads: usize,
+    /// Co-victim crash gap of the multi-victim (`/mv`) rows.
+    pub mv_gap: u64,
+    /// Skip the single-threaded rows.
+    pub conc_only: bool,
+    /// Restrict the interleaved rows to these variants (`None` = all).
+    pub conc_variants: Option<Vec<Variant>>,
+}
+
+/// One row of the `dfck` matrix: a sweep and its parameters.
+#[derive(Clone, Debug)]
+pub enum Spec {
+    /// A single-threaded crash-point sweep ([`sweep_plan`]).
+    Single {
+        /// The swept variant.
+        variant: Variant,
+        /// The workload replayed at every crash point.
+        workload: Workload,
+        /// Nested crash-schedule gaps (empty = one crash per replay).
+        nested: Vec<u64>,
+        /// Full-system rather than per-process crashes.
+        system: bool,
+    },
+    /// An interleaved (seed × crash point) sweep ([`sweep_interleaved`], or
+    /// [`sweep_interleaved_multi`] with a co-victim gap).
+    Interleaved {
+        /// The swept variant.
+        variant: Variant,
+        /// The scheduled workload.
+        workload: ConcWorkload,
+        /// The interleaving seeds.
+        seeds: Vec<u64>,
+        /// Nested crash-schedule gaps of the victim.
+        nested: Vec<u64>,
+        /// Co-victim crash gap (`None` = single victim).
+        covictim_gap: Option<u64>,
+        /// Full-system rather than per-process crashes.
+        system: bool,
+    },
+}
+
+/// The report of one [`Spec`].
+#[derive(Clone, Debug)]
+pub enum SpecReport {
+    /// From a [`Spec::Single`] row.
+    Single(sweep::Report),
+    /// From a [`Spec::Interleaved`] row.
+    Interleaved(sweep::ConcReport),
+}
+
+impl Spec {
+    /// The row's display/JSON label: `variant/workload[/tN][/nestedG][/mv][/system]`
+    /// (`/tN` on interleaved rows only; `/mv` = multi-victim: a co-victim pid
+    /// crashes in the same replay).
+    pub fn label(&self) -> String {
+        let (mut label, nested, mv, system) = match self {
+            Spec::Single {
+                variant,
+                workload,
+                nested,
+                system,
+            } => (
+                format!("{}/{}", variant.label(), workload.name),
+                nested,
+                false,
+                *system,
+            ),
+            Spec::Interleaved {
+                variant,
+                workload,
+                nested,
+                covictim_gap,
+                system,
+                ..
+            } => (
+                format!(
+                    "{}/{}/t{}",
+                    variant.label(),
+                    workload.name,
+                    workload.threads()
+                ),
+                nested,
+                covictim_gap.is_some(),
+                *system,
+            ),
+        };
+        if !nested.is_empty() {
+            let gaps: Vec<String> = nested.iter().map(|g| g.to_string()).collect();
+            label.push_str(&format!("/nested{}", gaps.join("-")));
+        }
+        if mv {
+            label.push_str("/mv");
+        }
+        if system {
+            label.push_str("/system");
+        }
+        label
+    }
+
+    /// Run the sweep.
+    pub fn run(&self) -> SpecReport {
+        match self {
+            Spec::Single {
+                variant,
+                workload,
+                nested,
+                system,
+            } => SpecReport::Single(sweep_plan(*variant, workload, nested, *system)),
+            Spec::Interleaved {
+                variant,
+                workload,
+                seeds,
+                nested,
+                covictim_gap,
+                system,
+            } => SpecReport::Interleaved(sweep_interleaved_with_workers(
+                *variant,
+                workload,
+                seeds,
+                nested,
+                *covictim_gap,
+                *system,
+                None,
+            )),
+        }
+    }
+}
+
+/// The `dfck` binary's sweep matrix, in row order.
+///
+/// Single-threaded rows, for every variant: its pair and seeded multi-op
+/// workloads, single + nested schedules, each under per-process (PPM) and
+/// full-system crashes (every variant's flush discipline is complete,
+/// DESIGN.md §7) — plus, for the adaptive capsule queues, slow-path-pinned
+/// rows: the fast path is on by default and an uncontended single-threaded
+/// replay never demotes, so those rows keep the simulator route's own
+/// single-threaded crash coverage.
+///
+/// Interleaved rows over the scheduled concurrent pair workloads: every queue
+/// variant plus the General stack and both detectable maps, single + nested
+/// schedules, both crash flavours. The queues add a multi-victim row (one
+/// process's recovery races a peer that is itself recovering) and the
+/// adaptive ones two sensitized rows (trip threshold 1, so the scheduled
+/// contention demotes fast-path operations and the enumeration covers the
+/// fast→slow demotion boundary; the production threshold of 2 consecutive
+/// lost CASes never trips inside these short windows). A last, wider map row
+/// races three pids against the resize trigger while the victim *and* a
+/// co-victim crash.
+pub fn matrix(p: &MatrixParams) -> Vec<Spec> {
+    let mut specs = Vec::new();
+    let gap = p.nested_gap;
+    if !p.conc_only {
+        for variant in Variant::all() {
+            let shape = variant.shape();
+            let workloads = [
+                Workload::pair_for(variant),
+                Workload::seeded(shape, p.seed, p.multi_ops),
+            ];
+            let mut single = |workload: &Workload, nested: Vec<u64>| {
+                for system in [false, true] {
+                    specs.push(Spec::Single {
+                        variant,
+                        workload: workload.clone(),
+                        nested: nested.clone(),
+                        system,
+                    });
+                }
+            };
+            for workload in &workloads {
+                single(workload, Vec::new());
+                single(workload, vec![gap]);
+            }
+            if variant.adaptive_capable() {
+                for workload in &workloads {
+                    single(&workload.clone().slow_path(), Vec::new());
+                }
+            }
+        }
+    }
+    if p.conc_seeds == 0 {
+        return specs;
+    }
+    let seeds: Vec<u64> = (1..=p.conc_seeds).collect();
+    let wants = |v: Variant| p.conc_variants.as_ref().map_or(true, |f| f.contains(&v));
+    let mut interleaved = |variant: Variant,
+                           workload: &ConcWorkload,
+                           nested: &[u64],
+                           covictim_gap: Option<u64>,
+                           system: bool| {
+        specs.push(Spec::Interleaved {
+            variant,
+            workload: workload.clone(),
+            seeds: seeds.clone(),
+            nested: nested.to_vec(),
+            covictim_gap,
+            system,
+        });
+    };
+    for variant in Variant::all() {
+        let workload = match variant {
+            Variant::StackGeneral => ConcWorkload::pair(Shape::Lifo, p.conc_threads),
+            Variant::MapGeneral | Variant::MapNormalized => ConcWorkload::map_pair(p.conc_threads),
+            v if v.shape() == Shape::Fifo => ConcWorkload::pair(Shape::Fifo, p.conc_threads),
+            _ => continue,
+        };
+        if !wants(variant) {
+            continue;
+        }
+        for nested in [&[] as &[u64], &[gap]] {
+            interleaved(variant, &workload, nested, None, false);
+            interleaved(variant, &workload, nested, None, true);
+        }
+        if variant.shape() == Shape::Fifo {
+            interleaved(variant, &workload, &[], Some(p.mv_gap), false);
+        }
+        if variant.adaptive_capable() {
+            let sensitized = workload.sensitized();
+            interleaved(variant, &sensitized, &[], None, false);
+            interleaved(variant, &sensitized, &[], None, true);
+        }
+    }
+    if wants(Variant::MapGeneral) {
+        let wide = ConcWorkload::map_pair(p.conc_threads.max(3));
+        interleaved(Variant::MapGeneral, &wide, &[], Some(p.mv_gap), false);
+    }
+    specs
+}
+
+/// Unit tests of the sweeper on the queue shape. The structure-shape
+/// counterparts live in `crate::dfck_struct::tests` and share the `pub(crate)`
+/// helpers below.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
 
     use super::*;
+
+    pub(crate) fn empty_record(outcomes: Vec<OpOutcome>, drained: Vec<u64>) -> ReplayRecord {
+        ReplayRecord {
+            outcomes,
+            drained,
+            drain_overflow: false,
+            crash_points: 0,
+            crashes: 0,
+            recoveries: 0,
+            entry_retries: 0,
+            recovery_crashes: 0,
+            fast_ops: 0,
+            demotions: 0,
+            audit_flags: 0,
+            audit_reports: Vec::new(),
+            hb_flags: 0,
+            hb_reports: Vec::new(),
+        }
+    }
+
+    pub(crate) fn crash_free(variant: Variant, w: &Workload) -> ReplayRecord {
+        replay(variant, w, &CrashPlan::new(Vec::new()), false)
+    }
 
     /// A slow-path enqueue under a full-system crash that lands between the
     /// E_LINK boundary's flush and its fence — the window where the compact
@@ -1167,29 +1574,80 @@ mod tests {
     /// fixed discipline.
     #[test]
     fn generalopt_slow_path_boundary_crash_runs_hb_clean() {
-        let w = Workload::pair().slow_path();
-        let r = replay(SweepVariant::GeneralOpt, &w, &CrashPlan::once(15), true);
+        let w = Workload::pair(Shape::Fifo).slow_path();
+        let r = replay(Variant::GeneralOpt, &w, &CrashPlan::once(15), true);
         assert_eq!(r.hb_flags, 0, "{:?}", r.hb_reports);
+    }
+
+    /// A crash-free replay of `variant`'s pair workload passes crash points
+    /// and satisfies the oracle.
+    pub(crate) fn assert_baseline_pair_history_is_consistent(variant: Variant) {
+        let w = Workload::pair_for(variant);
+        let r = crash_free(variant, &w);
+        assert_eq!(r.crashes, 0);
+        assert!(
+            r.crash_points > 0,
+            "{variant:?}: workload passed no crash points"
+        );
+        check_history(&w, &r).unwrap();
     }
 
     #[test]
     fn baseline_pair_history_is_consistent() {
-        for variant in SweepVariant::all() {
-            let w = Workload::pair();
-            let r = replay(variant, &w, &CrashPlan::new(Vec::new()), false);
-            assert_eq!(r.crashes, 0);
-            assert!(
-                r.crash_points > 0,
-                "{variant:?}: workload passed no crash points"
-            );
-            check_history(&w, &r).unwrap();
+        Variant::all()
+            .into_iter()
+            .filter(|v| v.shape() == Shape::Fifo)
+            .for_each(assert_baseline_pair_history_is_consistent);
+    }
+
+    #[test]
+    fn labels_round_trip_through_from_label() {
+        for v in Variant::all() {
+            assert_eq!(Variant::from_label(v.label()), Some(v));
         }
+        assert_eq!(Variant::from_label("Stack-Generl"), None);
+        assert_eq!(Variant::from_label(""), None);
+    }
+
+    /// The matrix at the committed parameters plans exactly the rows of the
+    /// committed baseline, in order — without running a sweep.
+    #[test]
+    fn matrix_labels_match_the_committed_baseline() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../benchmarks/BENCH_dfck.json"
+        );
+        let json = std::fs::read_to_string(path).unwrap();
+        let baseline: Vec<&str> = json
+            .split("\"variant\": \"")
+            .skip(1)
+            .map(|rest| &rest[..rest.find('"').unwrap()])
+            .collect();
+        assert!(json.contains(
+            "\"params\": {\"multi_ops\": 8, \"seed\": 42, \"nested_gap\": 0, \
+             \"conc_seeds\": 8, \"conc_threads\": 2}"
+        ));
+        let planned: Vec<String> = matrix(&MatrixParams {
+            multi_ops: 8,
+            seed: 42,
+            nested_gap: 0,
+            conc_seeds: 8,
+            conc_threads: 2,
+            mv_gap: 3,
+            conc_only: false,
+            conc_variants: None,
+        })
+        .iter()
+        .map(Spec::label)
+        .collect();
+        assert_eq!(baseline.len(), 187);
+        assert_eq!(planned, baseline);
     }
 
     #[test]
     fn oracle_rejects_lost_and_duplicated_elements() {
-        let w = Workload::pair();
-        let good = replay(SweepVariant::General, &w, &CrashPlan::new(Vec::new()), false);
+        let w = Workload::pair(Shape::Fifo);
+        let good = crash_free(Variant::General, &w);
         check_history(&w, &good).unwrap();
         // Lost element: drop the first drained value.
         let mut lost = good.clone();
@@ -1210,44 +1668,39 @@ mod tests {
         assert!(check_history(&w, &wrong).is_err());
     }
 
-    #[test]
-    fn oracle_accepts_ambiguous_interrupted_op_either_way() {
-        // An interrupted enqueue may or may not have applied; both final states
-        // must be accepted, anything else rejected.
+    /// An interrupted add of 42 onto a prefilled 7 may or may not have
+    /// applied: both the `applied` final state and the untouched prefill must
+    /// be accepted, and the `corrupt` state rejected.
+    pub(crate) fn assert_interrupted_add_accepted_either_way(
+        shape: Shape,
+        applied: Vec<u64>,
+        corrupt: Vec<u64>,
+    ) {
         let w = Workload {
             name: "ambig",
+            shape,
             prefill: vec![7],
-            ops: vec![Op::Enqueue(42)],
+            ops: vec![shape.add(42)],
             adaptive: true,
         };
-        let base = ReplayRecord {
-            outcomes: vec![OpOutcome::Interrupted],
-            drained: vec![7, 42],
-            drain_overflow: false,
-            crash_points: 1,
-            crashes: 1,
-            recoveries: 0,
-            entry_retries: 0,
-            recovery_crashes: 0,
-            fast_ops: 0,
-            demotions: 0,
-            audit_flags: 0,
-            audit_reports: Vec::new(),
-            hb_flags: 0,
-            hb_reports: Vec::new(),
-        };
-        check_history(&w, &base).unwrap();
-        let mut not_applied = base.clone();
-        not_applied.drained = vec![7];
-        check_history(&w, &not_applied).unwrap();
-        let mut corrupt = base.clone();
-        corrupt.drained = vec![42, 7];
-        assert!(check_history(&w, &corrupt).is_err());
+        let interrupted = |drained| empty_record(vec![OpOutcome::Interrupted], drained);
+        check_history(&w, &interrupted(applied)).unwrap();
+        check_history(&w, &interrupted(vec![7])).unwrap();
+        assert!(
+            check_history(&w, &interrupted(corrupt)).is_err(),
+            "{shape:?}"
+        );
     }
 
-    // The full pair sweeps (single + nested, every variant) live in
-    // tests/dfck_sweep.rs; duplicating the multi-thousand-replay runs here
-    // would double the cost of every `cargo test` for identical coverage.
+    #[test]
+    fn oracle_accepts_ambiguous_interrupted_op_either_way() {
+        assert_interrupted_add_accepted_either_way(Shape::Fifo, vec![7, 42], vec![42, 7]);
+    }
+
+    // The full pair sweeps (single + nested + system, every variant) live in
+    // tests/dfck_sweep.rs and tests/dfck_struct_sweep.rs; duplicating the
+    // multi-thousand-replay runs here would double the cost of every
+    // `cargo test` for identical coverage.
 
     /// Deterministic regression for the bounded-drain oracle path: an
     /// artificially cycled queue (the shape a buggy recovery could splice)
@@ -1271,79 +1724,92 @@ mod tests {
         t.write(next_addr(n3), n1.to_raw());
         let w = Workload {
             name: "cycled",
+            shape: Shape::Fifo,
             prefill: Vec::new(),
-            ops: vec![Op::Enqueue(1), Op::Enqueue(2), Op::Enqueue(3)],
+            ops: vec![
+                StructOp::Enqueue(1),
+                StructOp::Enqueue(2),
+                StructOp::Enqueue(3),
+            ],
             adaptive: true,
         };
-        let bound = drain_bound(&w);
+        let bound = w.drain_bound();
         assert_eq!(bound, 3);
         // The bounded drain stops after bound + 1 dequeues despite the cycle…
-        let drained = h.drain_up_to(bound + 1);
-        assert_eq!(drained.len(), bound + 1, "drain must stop at the bound");
+        let drained = QueueOps(h).drain_up_to(bound + 1);
+        assert_eq!(
+            drained.items.len(),
+            bound + 1,
+            "drain must stop at the bound"
+        );
+        assert!(drained.truncated);
         // …and the oracle rejects the over-long history with the cycle diagnosis.
-        let r = ReplayRecord {
-            outcomes: vec![OpOutcome::Completed(None); 3],
-            drain_overflow: drained.len() > bound,
-            drained,
-            crash_points: 0,
-            crashes: 0,
-            recoveries: 0,
-            entry_retries: 0,
-            recovery_crashes: 0,
-            fast_ops: 0,
-            demotions: 0,
-            audit_flags: 0,
-            audit_reports: Vec::new(),
-            hb_flags: 0,
-            hb_reports: Vec::new(),
-        };
+        let mut r = empty_record(vec![OpOutcome::Completed(None); 3], drained.items);
+        r.drain_overflow = true;
         let err = check_history(&w, &r).unwrap_err();
         assert!(err.contains("cyclic"), "diagnosis missing from: {err}");
     }
 
     #[test]
     fn drain_bound_counts_prefill_plus_enqueues() {
-        let w = Workload::pair();
-        assert_eq!(drain_bound(&w), w.prefill.len() + 1);
+        let w = Workload::pair(Shape::Fifo);
+        assert_eq!(w.drain_bound(), w.prefill.len() + 1);
         let all_deq = Workload {
             name: "deq",
+            shape: Shape::Fifo,
             prefill: vec![1, 2],
-            ops: vec![Op::Dequeue, Op::Dequeue],
+            ops: vec![StructOp::Dequeue, StructOp::Dequeue],
             adaptive: true,
         };
-        assert_eq!(drain_bound(&all_deq), 2);
+        assert_eq!(all_deq.drain_bound(), 2);
+    }
+
+    /// The seeded generator of `shape` is reproducible, seed-sensitive and
+    /// draws every one of the shape's `distinct_kinds` op kinds.
+    pub(crate) fn assert_seeded_workload_is_reproducible_and_mixed(
+        shape: Shape,
+        distinct_kinds: usize,
+    ) {
+        let a = Workload::seeded(shape, 9, 24);
+        assert_eq!(a.ops, Workload::seeded(shape, 9, 24).ops, "{shape:?}");
+        let kinds: std::collections::HashSet<_> =
+            a.ops.iter().map(std::mem::discriminant).collect();
+        assert_eq!(
+            kinds.len(),
+            distinct_kinds,
+            "{shape:?}: every op kind drawn"
+        );
+        assert_ne!(Workload::seeded(shape, 10, 24).ops, a.ops, "{shape:?}");
     }
 
     #[test]
     fn seeded_workload_is_reproducible_and_mixed() {
-        let a = Workload::seeded(9, 12);
-        let b = Workload::seeded(9, 12);
-        assert_eq!(a.ops, b.ops);
-        assert!(a.ops.iter().any(|o| matches!(o, Op::Enqueue(_))));
-        assert!(a.ops.iter().any(|o| matches!(o, Op::Dequeue)));
-        assert_ne!(Workload::seeded(10, 12).ops, a.ops);
+        assert_seeded_workload_is_reproducible_and_mixed(Shape::Fifo, 2);
     }
 
     #[test]
     fn seeded_full_offsets_values_and_prefill() {
-        let w = Workload::seeded_full(9, 12, 5, 1_000_000);
+        let w = Workload::seeded_full(Shape::Fifo, 9, 12, 5, 1_000_000);
         assert_eq!(w.prefill.len(), 5);
         assert!(w.prefill.iter().all(|&v| v >= 1_000_000));
         assert!(w
             .ops
             .iter()
-            .all(|o| !matches!(o, Op::Enqueue(v) if *v <= 1_000_000)));
+            .all(|o| !matches!(o, StructOp::Enqueue(v) if *v <= 1_000_000)));
         // Same seed/ops as the plain generator, just shifted ranges.
-        assert_eq!(w.ops.len(), Workload::seeded(9, 12).ops.len());
+        assert_eq!(w.ops.len(), Workload::seeded(Shape::Fifo, 9, 12).ops.len());
+        // Offsets shift the set keys too, so property cases stay disjoint.
+        let shifted = Workload::seeded_full(Shape::Set, 9, 24, 3, 1_000_000);
+        assert!(shifted.prefill.iter().all(|&k| k >= 1_000_000));
     }
 
-    #[test]
-    fn parallel_sweep_matches_sequential_sweep() {
-        // The fan-out must not change what is verified: run the same sweep with
-        // one worker and with several, and compare every aggregate.
-        let w = Workload::pair();
-        let seq = sweep_plan_with_workers(SweepVariant::General, &w, &[0], false, Some(1));
-        let par = sweep_plan_with_workers(SweepVariant::General, &w, &[0], false, Some(4));
+    /// The fan-out must not change what is verified: run the same sweep of
+    /// `variant` with one worker and with several, and compare every
+    /// aggregate.
+    pub(crate) fn assert_parallel_sweep_matches_sequential(variant: Variant) {
+        let w = Workload::pair_for(variant);
+        let seq = sweep_plan_with_workers(variant, &w, &[0], false, Some(1));
+        let par = sweep_plan_with_workers(variant, &w, &[0], false, Some(4));
         assert_eq!(seq.crash_points, par.crash_points);
         assert_eq!(seq.replays, par.replays);
         assert_eq!(seq.crashes_injected, par.crashes_injected);
@@ -1353,13 +1819,18 @@ mod tests {
         assert_eq!(seq.audit_flags, par.audit_flags);
         assert_eq!(seq.hb_flags, par.hb_flags);
         assert_eq!(seq.violations, par.violations);
-        assert!(seq.passed());
+        assert!(seq.passed(), "{variant:?}");
+    }
+
+    #[test]
+    fn parallel_sweep_matches_sequential_sweep() {
+        assert_parallel_sweep_matches_sequential(Variant::General);
     }
 
     #[test]
     fn opt_variants_are_swept_and_pass_the_pair_sweep() {
-        for variant in [SweepVariant::GeneralOpt, SweepVariant::NormalizedOpt] {
-            let report = sweep(variant, &Workload::pair(), None);
+        for variant in [Variant::GeneralOpt, Variant::NormalizedOpt] {
+            let report = sweep(variant, &Workload::pair(Shape::Fifo), None);
             assert!(report.passed(), "{variant:?}: {:?}", report.violations);
             assert!(report.crash_points > 0);
         }
@@ -1367,14 +1838,9 @@ mod tests {
 
     #[test]
     fn conc_workload_generators_are_sane() {
-        let pair = ConcWorkload::pair(3);
+        let pair = ConcWorkload::pair(Shape::Fifo, 3);
         assert_eq!(pair.threads(), 3);
         assert_eq!(pair.drain_bound(), 4 + 3);
-        // Per-pid value ranges are disjoint.
-        let a = ConcWorkload::seeded(7, 2, 6);
-        assert_eq!(a.threads(), 2);
-        assert_eq!(a.per_pid, ConcWorkload::seeded(7, 2, 6).per_pid);
-        assert_ne!(a.per_pid[0], a.per_pid[1]);
     }
 
     #[test]
@@ -1382,26 +1848,12 @@ mod tests {
         // Same discipline as the sequential sweeps, under the new
         // (seed × crash point) dimension: the fan-out worker count must not
         // change any aggregate of the merged report.
-        let w = ConcWorkload::pair(2);
+        let w = ConcWorkload::pair(Shape::Fifo, 2);
         let seeds = [1, 2];
-        let seq = sweep_interleaved_with_workers(
-            SweepVariant::General,
-            &w,
-            &seeds,
-            &[],
-            None,
-            false,
-            Some(1),
-        );
-        let par = sweep_interleaved_with_workers(
-            SweepVariant::General,
-            &w,
-            &seeds,
-            &[],
-            None,
-            false,
-            Some(4),
-        );
+        let run = |workers| {
+            sweep_interleaved_with_workers(Variant::General, &w, &seeds, &[], None, false, workers)
+        };
+        let (seq, par) = (run(Some(1)), run(Some(4)));
         assert_eq!(seq.crash_points, par.crash_points);
         assert_eq!(seq.replays, par.replays);
         assert_eq!(seq.crashes_injected, par.crashes_injected);

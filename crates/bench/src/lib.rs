@@ -18,10 +18,15 @@
 #![warn(missing_docs)]
 
 pub mod dfck;
-pub mod dfck_struct;
 pub mod json;
 pub mod structs_bench;
 pub mod sweep;
+
+/// Structure-shape unit tests of the [`dfck`] sweeper.
+#[cfg(test)]
+mod dfck_struct {
+    mod tests;
+}
 
 use std::sync::Barrier;
 use std::time::Instant;

@@ -18,7 +18,7 @@ use structs::{
     NormalizedSet, NormalizedStack, StructHandle, StructOp, TreiberStack,
 };
 
-use crate::dfck_struct::StructVariant;
+use crate::dfck::{Shape, Variant};
 use crate::json::JsonRow;
 use crate::WorkloadConfig;
 
@@ -26,7 +26,7 @@ use crate::WorkloadConfig;
 #[derive(Clone, Debug)]
 pub struct StructMeasurement {
     /// The variant measured.
-    pub variant: StructVariant,
+    pub variant: Variant,
     /// Worker-thread count.
     pub threads: usize,
     /// Throughput in million operations per second.
@@ -69,38 +69,39 @@ fn bench_map_config() -> MapConfig {
     MapConfig::new(64, 8)
 }
 
-fn build(variant: StructVariant, mem: &PMem, threads: usize) -> Built {
+fn build(variant: Variant, mem: &PMem, threads: usize) -> Built {
     let t = mem.thread(0);
     match variant {
-        StructVariant::StackIzraelevitz => Built::StackPlain(TreiberStack::new(&t)),
-        StructVariant::StackGeneral => {
+        Variant::StackIzraelevitz => Built::StackPlain(TreiberStack::new(&t)),
+        Variant::StackGeneral => {
             Built::StackGeneral(GeneralStack::new(&t, threads, true, BoundaryStyle::General))
         }
-        StructVariant::StackNormalized => {
+        Variant::StackNormalized => {
             Built::StackNormalized(NormalizedStack::new(&t, threads, true, false))
         }
-        StructVariant::SetIzraelevitz => Built::SetPlain(ListSet::new(&t)),
-        StructVariant::SetGeneral => {
+        Variant::SetIzraelevitz => Built::SetPlain(ListSet::new(&t)),
+        Variant::SetGeneral => {
             Built::SetGeneral(GeneralSet::new(&t, threads, true, BoundaryStyle::General))
         }
-        StructVariant::SetNormalized => {
+        Variant::SetNormalized => {
             Built::SetNormalized(NormalizedSet::new(&t, threads, true, false))
         }
-        StructVariant::MapIzraelevitz => Built::MapPlain(DetMap::new(&t, bench_map_config())),
-        StructVariant::MapGeneral => Built::MapGeneral(GeneralDetMap::new(
+        Variant::MapIzraelevitz => Built::MapPlain(DetMap::new(&t, bench_map_config())),
+        Variant::MapGeneral => Built::MapGeneral(GeneralDetMap::new(
             &t,
             threads,
             bench_map_config(),
             true,
             BoundaryStyle::General,
         )),
-        StructVariant::MapNormalized => Built::MapNormalized(NormalizedDetMap::new(
+        Variant::MapNormalized => Built::MapNormalized(NormalizedDetMap::new(
             &t,
             threads,
             bench_map_config(),
             true,
             false,
         )),
+        queue => panic!("the structure family has no {queue:?}"),
     }
 }
 
@@ -122,23 +123,23 @@ where
     }
 }
 
+/// The structure variants of the [`Variant`] registry (every non-queue one).
+fn structure_variants() -> impl Iterator<Item = Variant> {
+    Variant::all().into_iter().filter(|v| v.shape() != Shape::Fifo)
+}
+
 /// Run the structure workload for one variant and thread count.
 ///
 /// Set prefill keys are spread across the worker stripes so every thread's
 /// traversals cross other threads' keys (`prefill` bounds the list length and
 /// therefore the search cost, as in the paper's queue prefill).
-pub fn run_struct_workload(variant: StructVariant, cfg: &WorkloadConfig) -> StructMeasurement {
+pub fn run_struct_workload(variant: Variant, cfg: &WorkloadConfig) -> StructMeasurement {
     let mem = PMem::new(MemConfig::new(cfg.threads.max(1)).mode(Mode::SharedCache));
     let built = build(variant, &mem, cfg.threads);
     let opts = ThreadOptions {
-        izraelevitz: matches!(
-            variant,
-            StructVariant::StackIzraelevitz
-                | StructVariant::SetIzraelevitz
-                | StructVariant::MapIzraelevitz
-        ),
+        izraelevitz: !variant.detectable(),
     };
-    let stack = variant.is_stack();
+    let stack = variant.shape() == Shape::Lifo;
 
     // Pre-fill from thread 0 (not timed, not counted). Sets keep a bounded
     // key universe, so prefill inserts distinct keys outside the worker range.
@@ -230,7 +231,7 @@ pub fn run_struct_figure() -> Vec<StructMeasurement> {
     let mut all = Vec::new();
     for threads in 1..=max {
         let cfg = WorkloadConfig::from_env(threads);
-        for variant in StructVariant::all() {
+        for variant in structure_variants() {
             let m = run_struct_workload(variant, &cfg);
             println!(
                 "{:<10} {:<22} {:>10.3} {:>12.2} {:>12.2}",
@@ -272,7 +273,7 @@ mod tests {
 
     #[test]
     fn every_struct_variant_runs_the_workload() {
-        for variant in StructVariant::all() {
+        for variant in structure_variants() {
             let m = run_struct_workload(variant, &tiny(2));
             assert!(m.mops > 0.0, "{variant:?} produced no throughput");
         }
@@ -281,15 +282,15 @@ mod tests {
     #[test]
     fn detectable_variants_flush_and_izraelevitz_flushes_more_often_than_plain() {
         for variant in [
-            StructVariant::StackIzraelevitz,
-            StructVariant::StackGeneral,
-            StructVariant::StackNormalized,
-            StructVariant::SetIzraelevitz,
-            StructVariant::SetGeneral,
-            StructVariant::SetNormalized,
-            StructVariant::MapIzraelevitz,
-            StructVariant::MapGeneral,
-            StructVariant::MapNormalized,
+            Variant::StackIzraelevitz,
+            Variant::StackGeneral,
+            Variant::StackNormalized,
+            Variant::SetIzraelevitz,
+            Variant::SetGeneral,
+            Variant::SetNormalized,
+            Variant::MapIzraelevitz,
+            Variant::MapGeneral,
+            Variant::MapNormalized,
         ] {
             let m = run_struct_workload(variant, &tiny(1));
             assert!(m.flushes_per_op > 0.0, "{variant:?} should flush");

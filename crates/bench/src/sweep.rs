@@ -1,14 +1,13 @@
-//! `sweep` — the machinery shared by the exhaustive crash-point sweepers.
+//! `sweep` — the engine behind the exhaustive crash-point sweeper.
 //!
-//! [`crate::dfck`] (queues) and [`crate::dfck_struct`] (stacks and sets) run
-//! the same engine over different shapes: a crash-free baseline learns the
-//! crash-point count, each point `k` is replayed with a scripted
-//! [`CrashPlan`], the independent replays fan out across worker threads, and
-//! per-replay results are merged into a report in `k` order. This module owns
-//! that engine — the replay record, the report, the fan-out/striping, the
-//! kill-aware crash application and the drain-bound discipline — so the two
-//! sweepers contribute only their drivers (how to run one replay) and their
-//! sequential models (what a correct history looks like).
+//! [`crate::dfck`] runs every variant through the same engine: a crash-free
+//! baseline learns the crash-point count, each point `k` is replayed with a
+//! scripted [`CrashPlan`], the independent replays fan out across worker
+//! threads, and per-replay results are merged into a report in `k` order.
+//! This module owns that engine — the replay record, the report, the
+//! fan-out/striping, the kill-aware crash application and the drain-bound
+//! discipline — so [`crate::dfck`] contributes only its drivers (how to run
+//! one replay) and its sequential model (what a correct history looks like).
 //!
 //! It also owns the **generalized oracle**: a Wing&Gong-style linearization
 //! checker over timed operation histories ([`check_linearizable`]). The
@@ -27,6 +26,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use pmem::{CrashPlan, PThread, Stats, ThreadScheduler};
 
+use crate::dfck::Variant;
+
 /// What a replay driver observed for one operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpOutcome {
@@ -39,7 +40,7 @@ pub enum OpOutcome {
 }
 
 /// Everything one single-threaded replay produced, for the oracle and the
-/// report. Shared verbatim by the queue and structure sweepers.
+/// report.
 #[derive(Clone, Debug)]
 pub struct ReplayRecord {
     /// Per-operation outcomes, in program order.
@@ -79,13 +80,11 @@ pub struct ReplayRecord {
     pub hb_reports: Vec<String>,
 }
 
-/// Aggregate result of sweeping one (variant, workload) combination. `V` is
-/// the sweeper's variant enum ([`crate::dfck::SweepVariant`] or
-/// [`crate::dfck_struct::StructVariant`]); everything else is shared.
+/// Aggregate result of sweeping one (variant, workload) combination.
 #[derive(Clone, Debug)]
-pub struct Report<V> {
+pub struct Report {
     /// The swept variant.
-    pub variant: V,
+    pub variant: Variant,
     /// Workload name ("pair" / "multi").
     pub workload: &'static str,
     /// Crash schedule family: the gaps injected *after* the swept crash point.
@@ -124,7 +123,7 @@ pub struct Report<V> {
     pub violations: Vec<String>,
 }
 
-impl<V> Report<V> {
+impl Report {
     /// Whether every replay satisfied the oracle.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
@@ -207,26 +206,22 @@ pub fn fan_out<R: Send>(
 /// The shared single-threaded sweep engine: run the crash-free baseline, fan
 /// one replay per crash point out over [`sweep_workers`], and assemble the
 /// [`Report`] — audit flags, schedule-never-fired detection, the
-/// model-consistency check, and (for `strict` = detectable variants) the
+/// model-consistency check, and (for the detectable variants) the
 /// exactly-once obligations: history identical to the crash-free run and at
 /// least one recovery action per injected crash.
 ///
-/// `trace_tag` prefixes the optional `DF_DFCK_TRACE` schedule log; `replay`
-/// runs one replay under the given plan; `check` is the model-consistency
-/// oracle for one replay (typically [`check_sequential`] behind a
-/// drain-overflow guard).
-#[allow(clippy::too_many_arguments)] // one assembly site, two thin callers
-pub fn run_sweep<V: Copy>(
-    variant: V,
-    trace_tag: &str,
+/// `replay` runs one replay under the given plan; `check` is the
+/// model-consistency oracle for one replay (typically [`check_sequential`]
+/// behind a drain-overflow guard).
+pub fn run_sweep(
+    variant: Variant,
     workload_name: &'static str,
     nested: &[u64],
     system: bool,
-    strict: bool,
     workers_override: Option<usize>,
     replay: impl Fn(&CrashPlan) -> ReplayRecord + Sync,
     check: impl Fn(&ReplayRecord) -> Result<(), String>,
-) -> Report<V> {
+) -> Report {
     // Crash-free baseline: defines the sweep range and the reference history.
     let baseline = replay(&CrashPlan::new(Vec::new()));
     assert_eq!(baseline.crashes, 0);
@@ -270,7 +265,10 @@ pub fn run_sweep<V: Copy>(
     let run_one = |k: u64| -> ReplayRecord {
         let plan = plan_for(k);
         if std::env::var_os("DF_DFCK_TRACE").is_some() {
-            eprintln!("{trace_tag}: k={k} gaps={:?} system={system}", plan.script());
+            eprintln!(
+                "dfck trace: {variant:?} {workload_name}: k={k} gaps={:?} system={system}",
+                plan.script()
+            );
         }
         replay(&plan)
     };
@@ -311,7 +309,7 @@ pub fn run_sweep<V: Copy>(
             report.violations.push(format!("k={k} gaps={gaps:?}: {e}"));
             continue;
         }
-        if strict {
+        if variant.detectable() {
             // Detectable variants: the history must be *identical* to the
             // crash-free one — crashes must be invisible (Definition 2.2) —
             // and the crash must actually have forced a recovery, proving the
@@ -571,22 +569,12 @@ impl VictimPlans {
         }
     }
 
-    /// A single-victim replay with `plan` installed on `victim` — the shape
-    /// every pre-multi-victim sweep used.
+    /// A single-victim replay with `plan` installed on `victim`.
     pub fn scripted(victim: usize, plan: CrashPlan) -> VictimPlans {
         VictimPlans {
             victim,
             victim_plan: Some(plan),
             covictims: Vec::new(),
-        }
-    }
-
-    /// Compatibility constructor mirroring the old `(victim, Option<&CrashPlan>)`
-    /// pair: `None` ⇒ baseline.
-    pub fn single(victim: usize, plan: Option<&CrashPlan>) -> VictimPlans {
-        match plan {
-            Some(p) => VictimPlans::scripted(victim, p.clone()),
-            None => VictimPlans::baseline(victim),
         }
     }
 
@@ -740,10 +728,10 @@ pub struct ConcReplayRecord<O> {
 /// schedule-flavour) combination enumerated over (interleaving seed × crash
 /// point).
 #[derive(Clone, Debug)]
-pub struct ConcReport<V> {
+pub struct ConcReport {
     /// The swept variant.
-    pub variant: V,
-    /// Workload name ("conc-pair" / "conc-multi").
+    pub variant: Variant,
+    /// Workload name ("conc-pair" / "conc-map" / …).
     pub workload: &'static str,
     /// Number of scheduled processes.
     pub threads: usize,
@@ -787,7 +775,7 @@ pub struct ConcReport<V> {
     pub violations: Vec<String>,
 }
 
-impl<V> ConcReport<V> {
+impl ConcReport {
     /// Whether every replay satisfied the oracle.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
@@ -799,8 +787,8 @@ impl<V> ConcReport<V> {
 /// one replay per (seed, crash point `k`) with the scripted schedule
 /// `[k, nested…]` installed on the victim pid (`seed % threads`, so the
 /// victim rotates across the seed set). Every replay is checked with
-/// [`check_linearizable`] against `initial()`; `strict` (detectable variants)
-/// additionally requires every operation to complete — concurrent returns may
+/// [`check_linearizable`] against `initial()`; detectable variants are
+/// additionally required to complete every operation — concurrent returns may
 /// legitimately differ across interleavings, so exact baseline equality is
 /// *not* required — and at least one victim recovery action per injected
 /// crash.
@@ -814,21 +802,19 @@ impl<V> ConcReport<V> {
 /// `replay(seed, plans)` runs one scheduled replay (a baseline when
 /// `plans.plan_for` is empty everywhere); everything else mirrors
 /// [`run_sweep`].
-#[allow(clippy::too_many_arguments)] // one assembly site, two thin callers
-pub fn run_conc_sweep<V: Copy, M: SeqModel>(
-    variant: V,
-    trace_tag: &str,
+#[allow(clippy::too_many_arguments)] // one assembly site, one thin caller
+pub fn run_conc_sweep<M: SeqModel>(
+    variant: Variant,
     workload_name: &'static str,
     threads: usize,
     seeds: &[u64],
     nested: &[u64],
     covictim_gap: Option<u64>,
     system: bool,
-    strict: bool,
     workers_override: Option<usize>,
     initial: impl Fn() -> M,
     replay: impl Fn(u64, &VictimPlans) -> ConcReplayRecord<M::Op> + Sync,
-) -> ConcReport<V>
+) -> ConcReport
 where
     M::Op: Send,
 {
@@ -958,7 +944,7 @@ where
             let plans = plans_for(k);
             if std::env::var_os("DF_DFCK_TRACE").is_some() {
                 eprintln!(
-                    "{trace_tag}: seed={seed} victim={victim} k={k} gaps={:?} covictim_gap={covictim_gap:?} system={system}",
+                    "dfck conc trace: {variant:?} {workload_name}: seed={seed} victim={victim} k={k} gaps={:?} covictim_gap={covictim_gap:?} system={system}",
                     CrashPlan::nested(k, nested).script()
                 );
             }
@@ -1007,7 +993,7 @@ where
                 ));
                 continue;
             }
-            if strict {
+            if variant.detectable() {
                 if let Some(interrupted) = r
                     .history
                     .iter()
@@ -1024,7 +1010,7 @@ where
                 report.violations.push(format!("{tag}: {e}"));
                 continue;
             }
-            if strict && r.victim_recovery_actions == 0 {
+            if variant.detectable() && r.victim_recovery_actions == 0 {
                 report.violations.push(format!(
                     "{tag}: a crash was injected but no recovery action ran on the victim"
                 ));

@@ -82,6 +82,12 @@ impl ConstantDelaySimulator {
     /// Simulate a shared CAS as a single-instruction capsule: recoverable CAS with
     /// the `checkRecovery` protocol, persist the result into `result_local`,
     /// boundary. Returns whether the CAS took effect.
+    ///
+    /// The boundary to `next_pc` is taken whatever the CAS returns, so a caller
+    /// that branches on the outcome must do so in the capsule at `next_pc`, by
+    /// testing `result_local` — not on this return value in the current one. A
+    /// crash after the boundary resumes at `next_pc`, so a branch taken here
+    /// (say, a retry boundary after a failed CAS) would be skipped on recovery.
     pub fn cas(
         &self,
         rt: &mut CapsuleRuntime<'_, '_>,
@@ -142,15 +148,20 @@ mod tests {
                 }
                 1 => {
                     let v = rt.local(0);
-                    let ok = sim.cas(rt, x, v, v + 1, 1, 2);
-                    if ok {
-                        CapsuleStep::Continue
+                    sim.cas(rt, x, v, v + 1, 1, 2);
+                    CapsuleStep::Continue
+                }
+                // Branch on the persisted CAS result in its own capsule: the
+                // boundary to pc 2 is taken whatever the CAS returned, so a
+                // crash after it resumes here, not inside pc 1.
+                2 => {
+                    if rt.local(1) != 0 {
+                        CapsuleStep::Done(())
                     } else {
                         rt.boundary(0);
                         CapsuleStep::Continue
                     }
                 }
-                2 => CapsuleStep::Done(()),
                 pc => unreachable!("pc {pc}"),
             });
         }
@@ -159,7 +170,14 @@ mod tests {
     }
 
     /// Policy-based wrapper kept for the torture tests below.
-    fn run_counter(mem: &PMem, pid: usize, space: &RcasSpace, x: PAddr, n: u64, policy: CrashPolicy) -> u64 {
+    fn run_counter(
+        mem: &PMem,
+        pid: usize,
+        space: &RcasSpace,
+        x: PAddr,
+        n: u64,
+        policy: CrashPolicy,
+    ) -> u64 {
         run_counter_with(mem, pid, space, x, n, |t| t.set_crash_policy(policy))
     }
 
@@ -186,7 +204,10 @@ mod tests {
             &space,
             x,
             100,
-            CrashPolicy::Random { prob: 0.03, seed: 3 },
+            CrashPolicy::Random {
+                prob: 0.03,
+                seed: 3,
+            },
         );
         assert_eq!(space.read(&mem.thread(0), x), 100);
     }

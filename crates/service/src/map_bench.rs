@@ -22,7 +22,7 @@
 use std::sync::Barrier;
 use std::time::Instant;
 
-use bench::dfck_struct::StructVariant;
+use bench::dfck::Variant;
 use bench::env_u64;
 use bench::json::JsonRow;
 use capsules::BoundaryStyle;
@@ -85,18 +85,18 @@ enum BuiltMap {
     Normalized(NormalizedDetMap),
 }
 
-fn build(variant: StructVariant, mem: &PMem, threads: usize, cfg: &MapBenchConfig) -> BuiltMap {
+fn build(variant: Variant, mem: &PMem, threads: usize, cfg: &MapBenchConfig) -> BuiltMap {
     let t = mem.thread(0);
     match variant {
-        StructVariant::MapIzraelevitz => BuiltMap::Plain(DetMap::new(&t, cfg.map_config())),
-        StructVariant::MapGeneral => BuiltMap::General(GeneralDetMap::new(
+        Variant::MapIzraelevitz => BuiltMap::Plain(DetMap::new(&t, cfg.map_config())),
+        Variant::MapGeneral => BuiltMap::General(GeneralDetMap::new(
             &t,
             threads,
             cfg.map_config(),
             true,
             BoundaryStyle::General,
         )),
-        StructVariant::MapNormalized => BuiltMap::Normalized(NormalizedDetMap::new(
+        Variant::MapNormalized => BuiltMap::Normalized(NormalizedDetMap::new(
             &t,
             threads,
             cfg.map_config(),
@@ -121,12 +121,18 @@ where
 
 /// Run the Zipfian mixed workload for one map variant; returns the JSON row
 /// (`mops` > 0 is the `DF_REQUIRE_NONZERO` signal).
-pub fn run_map_workload(variant: StructVariant, cfg: &MapBenchConfig) -> JsonRow {
-    assert!(variant.is_map(), "fig_map drives map variants");
+pub fn run_map_workload(variant: Variant, cfg: &MapBenchConfig) -> JsonRow {
+    assert!(
+        matches!(
+            variant,
+            Variant::MapIzraelevitz | Variant::MapGeneral | Variant::MapNormalized
+        ),
+        "fig_map drives map variants"
+    );
     let mem = PMem::new(MemConfig::new(cfg.threads).mode(Mode::SharedCache));
     let built = build(variant, &mem, cfg.threads, cfg);
     let opts = ThreadOptions {
-        izraelevitz: matches!(variant, StructVariant::MapIzraelevitz),
+        izraelevitz: matches!(variant, Variant::MapIzraelevitz),
     };
 
     // Prefill the even keys from thread 0 (untimed, uncounted): half the
@@ -202,9 +208,9 @@ pub fn run_map_figure() -> Vec<JsonRow> {
     );
     let mut rows = Vec::new();
     for variant in [
-        StructVariant::MapIzraelevitz,
-        StructVariant::MapGeneral,
-        StructVariant::MapNormalized,
+        Variant::MapIzraelevitz,
+        Variant::MapGeneral,
+        Variant::MapNormalized,
     ] {
         let row = run_map_workload(variant, &cfg);
         println!(
@@ -251,9 +257,9 @@ mod tests {
     #[test]
     fn every_map_variant_runs_the_zipfian_mix() {
         for variant in [
-            StructVariant::MapIzraelevitz,
-            StructVariant::MapGeneral,
-            StructVariant::MapNormalized,
+            Variant::MapIzraelevitz,
+            Variant::MapGeneral,
+            Variant::MapNormalized,
         ] {
             let row = run_map_workload(variant, &tiny());
             assert!(row.mops > 0.0, "{variant:?} produced no throughput");

@@ -1,14 +1,20 @@
 //! The uniform face of every structure variant: one operation enum, one handle
 //! trait, and the bounded quiescent drain hook the sweeper's oracles rely on.
 
-/// One operation of the stack/set family.
+/// One operation of the queue/stack/set family.
 ///
-/// Stack handles accept `Push`/`Pop`; set handles accept
-/// `Insert`/`Remove`/`Contains`. Applying an operation of the wrong shape is a
-/// driver bug and panics (the `dfck_struct` workloads are shape-homogeneous by
-/// construction).
+/// Stack handles accept `Push`/`Pop`; set (and map) handles accept
+/// `Insert`/`Remove`/`Contains`; queue handles, which implement
+/// `queues::QueueHandle` rather than [`StructHandle`], take
+/// `Enqueue`/`Dequeue` through an adapter in the `dfck` sweeper. Applying an
+/// operation of the wrong shape is a driver bug and panics (the `dfck`
+/// workloads are shape-homogeneous by construction).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StructOp {
+    /// Enqueue this value at the tail of a queue.
+    Enqueue(u64),
+    /// Dequeue from the head of a queue.
+    Dequeue,
     /// Push this value onto the stack.
     Push(u64),
     /// Pop the top of the stack.
@@ -48,8 +54,8 @@ pub trait StructHandle {
     /// Apply one operation, with the results word-encoded uniformly so one
     /// driver can replay any shape:
     ///
-    /// * `Push` → `None`,
-    /// * `Pop` → the popped value (or `None` on an empty stack),
+    /// * `Push` / `Enqueue` → `None`,
+    /// * `Pop` / `Dequeue` → the removed value (or `None` when empty),
     /// * `Insert` / `Remove` / `Contains` → `Some(1)` for *true*, `Some(0)`
     ///   for *false*.
     fn apply(&mut self, op: StructOp) -> Option<u64>;

@@ -795,7 +795,7 @@ impl StructHandle for DetMapHandle<'_, '_, '_> {
             StructOp::Insert(k) => bool_ret(self.insert(k)),
             StructOp::Remove(k) => bool_ret(self.remove(k)),
             StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("map handle cannot apply stack operation {other:?}"),
+            other => panic!("map handle cannot apply non-map operation {other:?}"),
         }
     }
 

@@ -458,7 +458,7 @@ impl StructHandle for GeneralSetHandle<'_, '_, '_> {
             StructOp::Insert(k) => bool_ret(self.insert(k)),
             StructOp::Remove(k) => bool_ret(self.remove(k)),
             StructOp::Contains(k) => bool_ret(self.contains(k)),
-            other => panic!("set handle cannot apply stack operation {other:?}"),
+            other => panic!("set handle cannot apply non-set operation {other:?}"),
         }
     }
 

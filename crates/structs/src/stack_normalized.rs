@@ -234,7 +234,7 @@ impl StructHandle for NormalizedStackHandle<'_, '_, '_> {
                 None
             }
             StructOp::Pop => self.pop(),
-            other => panic!("stack handle cannot apply set operation {other:?}"),
+            other => panic!("stack handle cannot apply non-stack operation {other:?}"),
         }
     }
 

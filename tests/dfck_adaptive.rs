@@ -27,12 +27,16 @@
 //! simulator-only route's single-thread coverage alive now that the fast
 //! path is the default.
 
-use bench::dfck::{conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkload, SweepVariant,
-    Workload};
+use bench::dfck::{
+    conc_replay, sweep, sweep_interleaved, sweep_system, ConcWorkload, Shape, Variant, Workload,
+};
 use bench::sweep::VictimPlans;
 
-fn adaptive_variants() -> Vec<SweepVariant> {
-    SweepVariant::all().into_iter().filter(|v| v.adaptive_capable()).collect()
+fn adaptive_variants() -> Vec<Variant> {
+    Variant::all()
+        .into_iter()
+        .filter(|v| v.adaptive_capable())
+        .collect()
 }
 
 /// Site (a): with the fast path on (default), the single-thread pair sweep
@@ -45,8 +49,11 @@ fn adaptive_variants() -> Vec<SweepVariant> {
 fn adaptive_fast_path_survives_every_single_thread_crash_point() {
     for variant in adaptive_variants() {
         for (flavour, report) in [
-            ("ppm", sweep(variant, &Workload::pair(), None)),
-            ("system", sweep_system(variant, &Workload::pair(), None)),
+            ("ppm", sweep(variant, &Workload::pair(Shape::Fifo), None)),
+            (
+                "system",
+                sweep_system(variant, &Workload::pair(Shape::Fifo), None),
+            ),
         ] {
             assert!(
                 report.passed(),
@@ -54,7 +61,12 @@ fn adaptive_fast_path_survives_every_single_thread_crash_point() {
                 report.variant.label(),
                 report.violations
             );
-            assert_eq!(report.audit_flags, 0, "{}/{flavour}", report.variant.label());
+            assert_eq!(
+                report.audit_flags,
+                0,
+                "{}/{flavour}",
+                report.variant.label()
+            );
             assert!(report.crash_points > 0);
             assert!(
                 report.fast_ops > 0,
@@ -62,7 +74,8 @@ fn adaptive_fast_path_survives_every_single_thread_crash_point() {
                 report.variant.label()
             );
             assert_eq!(
-                report.demotions, 0,
+                report.demotions,
+                0,
                 "{}/{flavour}: an uncontended single-thread sweep must not demote",
                 report.variant.label()
             );
@@ -77,11 +90,12 @@ fn adaptive_fast_path_survives_every_single_thread_crash_point() {
 #[test]
 fn slow_path_workloads_pin_the_simulator_route() {
     for variant in adaptive_variants() {
-        let w = Workload::pair().slow_path();
+        let w = Workload::pair(Shape::Fifo).slow_path();
         assert_eq!(w.name, "pair-slow");
-        for (flavour, report) in
-            [("ppm", sweep(variant, &w, None)), ("system", sweep_system(variant, &w, None))]
-        {
+        for (flavour, report) in [
+            ("ppm", sweep(variant, &w, None)),
+            ("system", sweep_system(variant, &w, None)),
+        ] {
             assert!(
                 report.passed(),
                 "{} {}/{flavour}: {:?}",
@@ -90,7 +104,8 @@ fn slow_path_workloads_pin_the_simulator_route() {
                 report.violations
             );
             assert_eq!(
-                report.fast_ops, 0,
+                report.fast_ops,
+                0,
                 "{}/{flavour}: slow-path workload must not touch the fast route",
                 report.variant.label()
             );
@@ -107,7 +122,7 @@ fn slow_path_workloads_pin_the_simulator_route() {
 /// exactly-once checks must hold at every cell.
 #[test]
 fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
-    let w = ConcWorkload::pair(2).sensitized();
+    let w = ConcWorkload::pair(Shape::Fifo, 2).sensitized();
     assert_eq!(w.name, "conc-pair-trip1");
     for variant in adaptive_variants() {
         for system in [false, true] {
@@ -119,7 +134,12 @@ fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
                 w.name,
                 report.violations
             );
-            assert_eq!(report.audit_flags, 0, "{} (system={system})", variant.label());
+            assert_eq!(
+                report.audit_flags,
+                0,
+                "{} (system={system})",
+                variant.label()
+            );
             assert!(report.crash_points > 0);
             assert!(
                 report.fast_ops > 0,
@@ -141,13 +161,22 @@ fn sensitized_interleaved_sweeps_crash_the_demotion_boundary() {
 /// including the new fast-path/demotion telemetry.
 #[test]
 fn sensitized_replays_are_deterministic_and_demote() {
-    let w = ConcWorkload::pair(2).sensitized();
+    let w = ConcWorkload::pair(Shape::Fifo, 2).sensitized();
     for variant in adaptive_variants() {
         let r = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
         let again = conc_replay(variant, &w, 1, &VictimPlans::baseline(1), false);
-        assert_eq!(r, again, "{variant:?}: sensitized replay must be deterministic");
-        assert!(r.demotions > 0, "{variant:?}: threshold-1 pair interleaving must demote");
-        assert!(r.fast_ops > 0, "{variant:?}: the non-demoted ops stay on the fast path");
+        assert_eq!(
+            r, again,
+            "{variant:?}: sensitized replay must be deterministic"
+        );
+        assert!(
+            r.demotions > 0,
+            "{variant:?}: threshold-1 pair interleaving must demote"
+        );
+        assert!(
+            r.fast_ops > 0,
+            "{variant:?}: the non-demoted ops stay on the fast path"
+        );
     }
 }
 
@@ -158,13 +187,23 @@ fn sensitized_replays_are_deterministic_and_demote() {
 /// the bin's default output can't silently lose it.
 #[test]
 fn default_policy_interleaved_rows_stay_all_fast() {
-    let w = ConcWorkload::pair(2);
+    let w = ConcWorkload::pair(Shape::Fifo, 2);
     for variant in adaptive_variants() {
         let report = sweep_interleaved(variant, &w, &[1], &[], false);
-        assert!(report.passed(), "{} conc-pair: {:?}", variant.label(), report.violations);
-        assert!(report.fast_ops > 0, "{}: adaptive default must run fast", variant.label());
+        assert!(
+            report.passed(),
+            "{} conc-pair: {:?}",
+            variant.label(),
+            report.violations
+        );
+        assert!(
+            report.fast_ops > 0,
+            "{}: adaptive default must run fast",
+            variant.label()
+        );
         assert_eq!(
-            report.demotions, 0,
+            report.demotions,
+            0,
             "{}: production threshold tripped in a short window — update DESIGN.md §11 \
              and the sensitized-row rationale if the policy changed",
             variant.label()

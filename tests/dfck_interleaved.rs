@@ -20,39 +20,20 @@
 use std::collections::BTreeSet;
 
 use bench::dfck::{
-    conc_replay, sweep_interleaved, sweep_interleaved_multi, ConcWorkload, SweepVariant,
-};
-use bench::dfck_struct::{
-    conc_replay as struct_conc_replay, sweep_interleaved as struct_sweep_interleaved,
-    ConcStructWorkload, StructVariant,
+    conc_replay, sweep_interleaved, sweep_interleaved_multi, ConcWorkload, Shape, Variant,
 };
 use bench::sweep::VictimPlans;
+use delayfree_integration_tests::dfck::assert_scheduled_replay_is_bit_identical;
 use pmem::CrashPlan;
 
 /// The same (variant, workload, seed, victim, plan, system) tuple must
-/// reproduce the replay record exactly — history timestamps, drain order,
-/// scheduler fingerprint, and every crash counter. Checked crash-free and
-/// with a scripted mid-operation crash, under both crash semantics.
+/// reproduce the replay record exactly, crash-free and with a scripted
+/// mid-operation crash, under both crash semantics — for one queue variant of
+/// each driver kind.
 #[test]
 fn scheduled_replays_are_bit_identical_for_the_same_seed() {
-    let w = ConcWorkload::pair(2);
-    for variant in [SweepVariant::IzraelevitzMsq, SweepVariant::General, SweepVariant::LogQueue] {
-        for system in [false, true] {
-            let baseline = conc_replay(variant, &w, 5, &VictimPlans::baseline(1), system);
-            let again = conc_replay(variant, &w, 5, &VictimPlans::baseline(1), system);
-            assert_eq!(baseline, again, "{variant:?} (system={system}): crash-free replay");
-            // Crash the victim mid-window at a point the baseline proved
-            // reachable, and require the same determinism.
-            let k = baseline.victim_crash_points / 2;
-            let plans = VictimPlans::scripted(1, CrashPlan::nested(k, &[]));
-            let crashed = conc_replay(variant, &w, 5, &plans, system);
-            let crashed_again = conc_replay(variant, &w, 5, &plans, system);
-            assert_eq!(
-                crashed, crashed_again,
-                "{variant:?} (system={system}): crashed replay at k={k}"
-            );
-            assert!(crashed.victim_crashes >= 1, "{variant:?}: the scripted crash must fire");
-        }
+    for variant in [Variant::IzraelevitzMsq, Variant::General, Variant::LogQueue] {
+        assert_scheduled_replay_is_bit_identical(variant, 2);
     }
 }
 
@@ -60,22 +41,9 @@ fn scheduled_replays_are_bit_identical_for_the_same_seed() {
 /// including at three scheduled processes.
 #[test]
 fn scheduled_struct_replays_are_bit_identical_for_the_same_seed() {
-    for threads in [2usize, 3] {
-        let stack = ConcStructWorkload::stack_pair(threads);
-        let set = ConcStructWorkload::set_pair(threads);
-        for (variant, w) in [
-            (StructVariant::StackGeneral, &stack),
-            (StructVariant::SetNormalized, &set),
-        ] {
-            let victim = threads - 1;
-            let baseline = struct_conc_replay(variant, w, 9, &VictimPlans::baseline(victim), true);
-            let again = struct_conc_replay(variant, w, 9, &VictimPlans::baseline(victim), true);
-            assert_eq!(baseline, again, "{variant:?} t{threads}: crash-free replay");
-            let k = baseline.victim_crash_points / 2;
-            let plans = VictimPlans::scripted(victim, CrashPlan::nested(k, &[]));
-            let crashed = struct_conc_replay(variant, w, 9, &plans, true);
-            let crashed_again = struct_conc_replay(variant, w, 9, &plans, true);
-            assert_eq!(crashed, crashed_again, "{variant:?} t{threads}: crashed replay");
+    for threads in [2, 3] {
+        for variant in [Variant::StackGeneral, Variant::SetNormalized] {
+            assert_scheduled_replay_is_bit_identical(variant, threads);
         }
     }
 }
@@ -88,13 +56,22 @@ fn scheduled_struct_replays_are_bit_identical_for_the_same_seed() {
 #[test]
 fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
     let seeds: Vec<u64> = (1..=8).collect();
-    let w = ConcWorkload::pair(2);
-    for variant in SweepVariant::all() {
+    let variants = Variant::all()
+        .into_iter()
+        .filter(|v| v.shape() == Shape::Fifo);
+    for variant in variants.chain([Variant::StackGeneral]) {
+        let w = ConcWorkload::pair(variant.shape(), 2);
         let fingerprints: BTreeSet<u64> = seeds
             .iter()
             .map(|&s| {
-                conc_replay(variant, &w, s, &VictimPlans::baseline((s % 2) as usize), false)
-                    .fingerprint
+                conc_replay(
+                    variant,
+                    &w,
+                    s,
+                    &VictimPlans::baseline((s % 2) as usize),
+                    false,
+                )
+                .fingerprint
             })
             .collect();
         assert_eq!(
@@ -103,21 +80,6 @@ fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
             "{variant:?}: seeds must map to distinct interleavings"
         );
     }
-    let sw = ConcStructWorkload::stack_pair(2);
-    let fingerprints: BTreeSet<u64> = seeds
-        .iter()
-        .map(|&s| {
-            struct_conc_replay(
-                StructVariant::StackGeneral,
-                &sw,
-                s,
-                &VictimPlans::baseline((s % 2) as usize),
-                false,
-            )
-            .fingerprint
-        })
-        .collect();
-    assert_eq!(fingerprints.len(), seeds.len(), "Stack-General: distinct interleavings");
 }
 
 /// Three scheduled processes: distinct seeds still give distinct
@@ -126,14 +88,14 @@ fn eight_seeds_yield_eight_distinct_interleavings_per_variant() {
 /// knob exposes).
 #[test]
 fn three_thread_replays_are_deterministic_and_seed_sensitive() {
-    let w = ConcWorkload::pair(3);
+    let w = ConcWorkload::pair(Shape::Fifo, 3);
     let seeds: Vec<u64> = (1..=4).collect();
     let fingerprints: BTreeSet<u64> = seeds
         .iter()
         .map(|&s| {
             let plans = VictimPlans::baseline((s % 3) as usize);
-            let r = conc_replay(SweepVariant::General, &w, s, &plans, false);
-            let again = conc_replay(SweepVariant::General, &w, s, &plans, false);
+            let r = conc_replay(Variant::General, &w, s, &plans, false);
+            let again = conc_replay(Variant::General, &w, s, &plans, false);
             assert_eq!(r, again, "seed {s}: 3-thread replay must be deterministic");
             r.fingerprint
         })
@@ -148,8 +110,8 @@ fn three_thread_replays_are_deterministic_and_seed_sensitive() {
 #[test]
 fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
     let seeds = [1u64, 2];
-    let w = ConcWorkload::pair(2);
-    for variant in [SweepVariant::IzraelevitzMsq, SweepVariant::LogQueue] {
+    let w = ConcWorkload::pair(Shape::Fifo, 2);
+    for variant in [Variant::IzraelevitzMsq, Variant::LogQueue] {
         for system in [false, true] {
             let report = sweep_interleaved(variant, &w, &seeds, &[], system);
             assert!(
@@ -168,9 +130,9 @@ fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
             assert_eq!(report.covictim_crashes, 0);
         }
     }
-    let sw = ConcStructWorkload::stack_pair(2);
+    let sw = ConcWorkload::pair(Shape::Lifo, 2);
     for system in [false, true] {
-        let report = struct_sweep_interleaved(StructVariant::StackGeneral, &sw, &seeds, &[], system);
+        let report = sweep_interleaved(Variant::StackGeneral, &sw, &seeds, &[], system);
         assert!(
             report.passed(),
             "Stack-General (system={system}): {:?}",
@@ -178,7 +140,10 @@ fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
         );
         assert_eq!(report.audit_flags, 0);
         assert_eq!(report.distinct_interleavings, seeds.len() as u64);
-        assert!(report.recoveries > 0, "detectable variant must run recovery actions");
+        assert!(
+            report.recoveries > 0,
+            "detectable variant must run recovery actions"
+        );
     }
 }
 
@@ -187,9 +152,13 @@ fn bounded_interleaved_sweeps_pass_the_linearization_oracle() {
 /// own recovery and still pass the oracle.
 #[test]
 fn nested_crash_schedules_compose_with_scheduling() {
-    let w = ConcWorkload::pair(2);
-    let report = sweep_interleaved(SweepVariant::General, &w, &[3], &[0], true);
-    assert!(report.passed(), "General nested /system: {:?}", report.violations);
+    let w = ConcWorkload::pair(Shape::Fifo, 2);
+    let report = sweep_interleaved(Variant::General, &w, &[3], &[0], true);
+    assert!(
+        report.passed(),
+        "General nested /system: {:?}",
+        report.violations
+    );
     assert!(
         report.recovery_crashes > 0,
         "the nested schedule element must land inside recovery"
@@ -202,18 +171,18 @@ fn nested_crash_schedules_compose_with_scheduling() {
 /// exactly-once linearization oracle with both schedules verified live.
 #[test]
 fn multi_victim_sweeps_crash_two_pids_and_pass_the_oracle() {
-    let w = ConcWorkload::pair(2);
+    let w = ConcWorkload::pair(Shape::Fifo, 2);
     // Replay-level: both pids crash in one deterministic replay.
     let plans = VictimPlans::scripted(0, CrashPlan::once(2)).with_covictim(1, CrashPlan::once(2));
-    let r = conc_replay(SweepVariant::General, &w, 4, &plans, false);
-    let again = conc_replay(SweepVariant::General, &w, 4, &plans, false);
+    let r = conc_replay(Variant::General, &w, 4, &plans, false);
+    let again = conc_replay(Variant::General, &w, 4, &plans, false);
     assert_eq!(r, again, "multi-victim replay must be deterministic");
     assert!(r.victim_crashes >= 1, "victim plan must fire");
     assert!(r.covictim_crashes >= 1, "co-victim plan must fire");
     // Sweep-level: every (seed × crash point) cell with a co-victim crash in
     // the mix passes the oracle, and the engine counted the co-victim fires.
     let seeds = [1u64, 2];
-    for variant in [SweepVariant::General, SweepVariant::LogQueue] {
+    for variant in [Variant::General, Variant::LogQueue] {
         let report = sweep_interleaved_multi(variant, &w, &seeds, &[], 2, false);
         assert!(report.passed(), "{variant:?} /mv: {:?}", report.violations);
         assert_eq!(report.covictim_gap, Some(2));
@@ -235,14 +204,17 @@ fn multi_victim_sweeps_crash_two_pids_and_pass_the_oracle() {
 /// delivery is bit-deterministic.
 #[test]
 fn four_thread_system_crash_kills_parked_peers_at_their_next_yield() {
-    let w = ConcWorkload::pair(4);
-    let baseline = conc_replay(SweepVariant::General, &w, 11, &VictimPlans::baseline(0), true);
+    let w = ConcWorkload::pair(Shape::Fifo, 4);
+    let baseline = conc_replay(Variant::General, &w, 11, &VictimPlans::baseline(0), true);
     assert_eq!(baseline.crashes, 0);
     let k = baseline.victim_crash_points / 2;
     let plans = VictimPlans::scripted(0, CrashPlan::nested(k, &[]));
-    let crashed = conc_replay(SweepVariant::General, &w, 11, &plans, true);
-    let again = conc_replay(SweepVariant::General, &w, 11, &plans, true);
-    assert_eq!(crashed, again, "4-thread kill delivery must be deterministic");
+    let crashed = conc_replay(Variant::General, &w, 11, &plans, true);
+    let again = conc_replay(Variant::General, &w, 11, &plans, true);
+    assert_eq!(
+        crashed, again,
+        "4-thread kill delivery must be deterministic"
+    );
     assert!(crashed.victim_crashes >= 1, "the scripted crash must fire");
     assert!(
         crashed.crashes > crashed.victim_crashes,
@@ -266,16 +238,22 @@ fn four_thread_system_crash_kills_parked_peers_at_their_next_yield() {
 /// Swept both mid-window and at the boundary for determinism.
 #[test]
 fn four_thread_kill_delivery_skips_finished_peers() {
-    let w = ConcWorkload::pair(4);
-    let baseline = conc_replay(SweepVariant::General, &w, 13, &VictimPlans::baseline(2), true);
+    let w = ConcWorkload::pair(Shape::Fifo, 4);
+    let baseline = conc_replay(Variant::General, &w, 13, &VictimPlans::baseline(2), true);
     let n = baseline.victim_crash_points;
     assert!(n > 1);
     for k in [n - 1, n / 2] {
         let plans = VictimPlans::scripted(2, CrashPlan::nested(k, &[]));
-        let crashed = conc_replay(SweepVariant::General, &w, 13, &plans, true);
-        let again = conc_replay(SweepVariant::General, &w, 13, &plans, true);
-        assert_eq!(crashed, again, "k={k}: late-window kill must be deterministic");
-        assert!(crashed.victim_crashes >= 1, "k={k}: the scripted crash must fire");
+        let crashed = conc_replay(Variant::General, &w, 13, &plans, true);
+        let again = conc_replay(Variant::General, &w, 13, &plans, true);
+        assert_eq!(
+            crashed, again,
+            "k={k}: late-window kill must be deterministic"
+        );
+        assert!(
+            crashed.victim_crashes >= 1,
+            "k={k}: the scripted crash must fire"
+        );
         assert!(
             crashed.crashes <= 4,
             "k={k}: each pid can crash at most once for a single scripted system crash"
@@ -288,14 +266,24 @@ fn four_thread_kill_delivery_skips_finished_peers() {
 /// tests use).
 #[test]
 fn four_thread_fingerprints_are_seed_sensitive() {
-    let w = ConcWorkload::pair(4);
+    let w = ConcWorkload::pair(Shape::Fifo, 4);
     let seeds: Vec<u64> = (1..=6).collect();
     let fingerprints: BTreeSet<u64> = seeds
         .iter()
         .map(|&s| {
-            conc_replay(SweepVariant::General, &w, s, &VictimPlans::baseline((s % 4) as usize), false)
-                .fingerprint
+            conc_replay(
+                Variant::General,
+                &w,
+                s,
+                &VictimPlans::baseline((s % 4) as usize),
+                false,
+            )
+            .fingerprint
         })
         .collect();
-    assert_eq!(fingerprints.len(), seeds.len(), "4-thread interleavings must stay distinct");
+    assert_eq!(
+        fingerprints.len(),
+        seeds.len(),
+        "4-thread interleavings must stay distinct"
+    );
 }

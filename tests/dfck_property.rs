@@ -3,15 +3,14 @@
 //! [`Workload::seeded_full`] from each case, and require the exhaustive
 //! crash-point sweep to pass. On a violation the assertion message carries the
 //! full sampled tuple, so the failing workload is reproducible with
-//! `Workload::seeded_full(seed, ops, prefill, base)` (or `DF_DFCK_SEED`/
+//! `Workload::seeded_full(shape, seed, ops, prefill, base)` (or `DF_DFCK_SEED`/
 //! `DF_DFCK_OPS` on the `dfck` binary for the default prefill).
 //!
 //! Each case is a full sweep (one replay per crash point), so the case budget
 //! is capped below the proptest default; `PROPTEST_CASES` can lower it further
 //! but not raise it past the cap (CI time budget).
 
-use bench::dfck::{sweep, sweep_system, SweepVariant, Workload};
-use bench::dfck_struct::{self, StructVariant, StructWorkload};
+use bench::dfck::{sweep, sweep_system, Shape, Variant, Workload};
 use proptest::prelude::*;
 
 /// Upper bound on sampled property cases (each one is a whole sweep).
@@ -21,25 +20,22 @@ const MAX_CASES: u32 = 12;
 fn sample_cases(n: u32) -> Vec<(u64, usize, usize, u64)> {
     let strategy = (1u64..1 << 48, 3usize..9, 0usize..5, 0u64..1 << 20);
     let mut rng = TestRng::deterministic();
-    (0..n)
-        .map(|case| strategy.sample(&mut rng, case))
-        .collect()
+    (0..n).map(|case| strategy.sample(&mut rng, case)).collect()
 }
 
 #[test]
 fn sampled_workloads_pass_the_sweep_on_rotating_detectable_variants() {
     let variants = [
-        SweepVariant::General,
-        SweepVariant::GeneralOpt,
-        SweepVariant::Normalized,
-        SweepVariant::NormalizedOpt,
-        SweepVariant::LogQueue,
+        Variant::General,
+        Variant::GeneralOpt,
+        Variant::Normalized,
+        Variant::NormalizedOpt,
+        Variant::LogQueue,
     ];
-    for (case, &(seed, ops, prefill, base)) in sample_cases(cases().min(MAX_CASES))
-        .iter()
-        .enumerate()
+    for (case, &(seed, ops, prefill, base)) in
+        sample_cases(cases().min(MAX_CASES)).iter().enumerate()
     {
-        let workload = Workload::seeded_full(seed, ops, prefill, base);
+        let workload = Workload::seeded_full(Shape::Fifo, seed, ops, prefill, base);
         // Rotate the variant per case so the budget covers the whole family,
         // alternating per-process and full-system crash semantics.
         let variant = variants[case % variants.len()];
@@ -50,7 +46,7 @@ fn sampled_workloads_pass_the_sweep_on_rotating_detectable_variants() {
         };
         prop_assert!(
             report.passed(),
-            "failing workload: Workload::seeded_full({seed}, {ops}, {prefill}, {base}) \
+            "failing workload: Workload::seeded_full(Shape::Fifo, {seed}, {ops}, {prefill}, {base}) \
              on {} (case {case}, system={}): {:?}",
             variant.label(),
             case % 2 == 1,
@@ -63,44 +59,38 @@ fn sampled_workloads_pass_the_sweep_on_rotating_detectable_variants() {
 #[test]
 fn sampled_workloads_pass_the_struct_sweep_on_rotating_variants() {
     // The structure family under the same discipline: every sampled tuple
-    // builds a stack- and a set-shaped workload via the `seeded_full`
-    // generators, swept on a rotating variant, alternating PPM and
-    // full-system crash semantics. Failure messages carry the tuple so the
-    // case reproduces with `StructWorkload::{stack,set}_seeded_full(...)`.
+    // builds a workload of the rotating variant's shape via `seeded_full`,
+    // alternating PPM and full-system crash semantics. Failure messages carry
+    // the tuple so the case reproduces with `Workload::seeded_full(...)`.
     let variants = [
-        StructVariant::StackGeneral,
-        StructVariant::StackNormalized,
-        StructVariant::SetGeneral,
-        StructVariant::SetNormalized,
-        StructVariant::MapGeneral,
-        StructVariant::MapNormalized,
-        StructVariant::StackIzraelevitz,
-        StructVariant::SetIzraelevitz,
-        StructVariant::MapIzraelevitz,
+        Variant::StackGeneral,
+        Variant::StackNormalized,
+        Variant::SetGeneral,
+        Variant::SetNormalized,
+        Variant::MapGeneral,
+        Variant::MapNormalized,
+        Variant::StackIzraelevitz,
+        Variant::SetIzraelevitz,
+        Variant::MapIzraelevitz,
     ];
-    for (case, &(seed, ops, prefill, base)) in sample_cases(cases().min(MAX_CASES))
-        .iter()
-        .enumerate()
+    for (case, &(seed, ops, prefill, base)) in
+        sample_cases(cases().min(MAX_CASES)).iter().enumerate()
     {
         let variant = variants[case % variants.len()];
         // Maps share the set's op alphabet, so the set generator drives them
         // too — on the tiny bucket array, where the sampled inserts trip
         // resizes mid-sweep.
-        let workload = if variant.is_stack() {
-            StructWorkload::stack_seeded_full(seed, ops, prefill, base)
-        } else {
-            StructWorkload::set_seeded_full(seed, ops, prefill, base)
-        };
+        let shape = variant.shape();
+        let workload = Workload::seeded_full(shape, seed, ops, prefill, base);
         let report = if case % 2 == 0 {
-            dfck_struct::sweep(variant, &workload, None)
+            sweep(variant, &workload, None)
         } else {
-            dfck_struct::sweep_system(variant, &workload, None)
+            sweep_system(variant, &workload, None)
         };
         prop_assert!(
             report.passed(),
-            "failing workload: {}_seeded_full({seed}, {ops}, {prefill}, {base}) \
-             on {} (case {case}, system={}): {:?}",
-            if variant.is_stack() { "stack" } else { "set" },
+            "failing workload: Workload::seeded_full(Shape::{shape:?}, {seed}, {ops}, {prefill}, \
+             {base}) on {} (case {case}, system={}): {:?}",
             variant.label(),
             case % 2 == 1,
             report.violations
@@ -114,11 +104,12 @@ fn sampled_workloads_pass_the_nested_system_sweep_on_the_msq() {
     // The non-detectable variant runs under the forked-model oracle; sample a
     // couple of workloads through the nested full-system schedules too.
     for &(seed, ops, prefill, base) in sample_cases(cases().min(4)).iter() {
-        let workload = Workload::seeded_full(seed, ops, prefill, base);
-        let report = sweep_system(SweepVariant::IzraelevitzMsq, &workload, Some(0));
+        let workload = Workload::seeded_full(Shape::Fifo, seed, ops, prefill, base);
+        let report = sweep_system(Variant::IzraelevitzMsq, &workload, Some(0));
         prop_assert!(
             report.passed(),
-            "failing workload: Workload::seeded_full({seed}, {ops}, {prefill}, {base}): {:?}",
+            "failing workload: Workload::seeded_full(Shape::Fifo, {seed}, {ops}, {prefill}, \
+             {base}): {:?}",
             report.violations
         );
     }

@@ -1,68 +1,41 @@
-//! Cross-crate integration tests for the structure-family exhaustive
-//! crash-point sweeper (`bench::dfck_struct`): Treiber stack, linked-list
-//! set and bucketed hash map, every variant, every crash point of the
-//! canonical pair workloads (resize-crossing for the maps),
-//! single and nested (crash-during-recovery) schedules, per-process *and*
-//! full-system crash semantics, flush auditor armed — mirroring
-//! `tests/dfck_sweep.rs` for the non-queue shapes.
+//! Cross-crate integration tests for the `dfck` exhaustive crash-point
+//! sweeper on the structure variants (Treiber stack, linked-list set,
+//! bucketed hash map): every crash point of each pair workload
+//! (resize-crossing for the maps), single and nested (crash-during-recovery)
+//! schedules, per-process *and* full-system crash semantics, flush auditor
+//! armed — the same checks `tests/dfck_sweep.rs` runs on the queues — plus
+//! depth-2 nested schedules, seeded multi-op sweeps and the crash-free
+//! equivalence of each shape's three constructions.
 
-use bench::dfck_struct::{sweep, sweep_plan, sweep_system, StructVariant, StructWorkload};
+use bench::dfck::{sweep, sweep_plan, Shape, Variant, Workload};
 use capsules::BoundaryStyle;
+use delayfree_integration_tests::dfck::{
+    assert_nested_sweep_passes, assert_pair_sweep_passes, assert_system_sweep_passes,
+};
 use pmem::PMem;
 use structs::{
-    GeneralSet, GeneralStack, ListSet, NormalizedSet, NormalizedStack, StructHandle,
-    TreiberStack,
+    GeneralSet, GeneralStack, ListSet, NormalizedSet, NormalizedStack, StructHandle, TreiberStack,
 };
 
-fn pair_for(variant: StructVariant) -> StructWorkload {
-    if variant.is_stack() {
-        StructWorkload::stack_pair()
-    } else if variant.is_map() {
-        // The map's pair analogue additionally crosses a bucket-array resize
-        // inside the swept window (tiny bucket array, sixth insert trips the
-        // grow trigger), so these sweeps enumerate every crash point of the
-        // freeze/copy/promote migration too.
-        StructWorkload::map_resize()
-    } else {
-        StructWorkload::set_pair()
-    }
+/// The stack, set and map variants of the registry (every non-FIFO shape).
+fn struct_variants() -> impl Iterator<Item = Variant> {
+    Variant::all()
+        .into_iter()
+        .filter(|v| v.shape() != Shape::Fifo)
 }
 
+/// The maps' pair workload additionally crosses a bucket-array resize inside
+/// the swept window (tiny bucket array, the sixth insert trips the grow
+/// trigger), so these sweeps enumerate every crash point of the
+/// freeze/copy/promote migration too.
 #[test]
 fn every_struct_variant_passes_the_pair_sweep_at_every_crash_point() {
-    for variant in StructVariant::all() {
-        let report = sweep(variant, &pair_for(variant), None);
-        assert!(
-            report.passed(),
-            "{} pair sweep: {:?}",
-            report.variant.label(),
-            report.violations
-        );
-        // The range really was enumerated (count from Stats, not a constant).
-        assert!(report.crash_points > 0);
-        assert_eq!(report.replays, report.crash_points + 1);
-        assert!(report.crashes_injected >= report.crash_points);
-    }
+    struct_variants().for_each(assert_pair_sweep_passes);
 }
 
 #[test]
 fn every_struct_variant_passes_the_nested_crash_during_recovery_sweep() {
-    for variant in StructVariant::all() {
-        let report = sweep(variant, &pair_for(variant), Some(0));
-        assert!(
-            report.passed(),
-            "{} nested sweep: {:?}",
-            report.variant.label(),
-            report.violations
-        );
-        if variant.detectable() {
-            assert!(
-                report.recovery_crashes > 0,
-                "{}: no nested crash landed inside recovery",
-                report.variant.label()
-            );
-        }
-    }
+    struct_variants().for_each(assert_nested_sweep_passes);
 }
 
 /// Full-system crash sweeps: every injected crash also rolls unflushed cache
@@ -72,26 +45,7 @@ fn every_struct_variant_passes_the_nested_crash_during_recovery_sweep() {
 /// auditor's flags count as violations via `passed()`.
 #[test]
 fn system_crash_pair_sweep_passes_for_every_struct_variant() {
-    for variant in StructVariant::all() {
-        for nested in [None, Some(0)] {
-            let report = sweep_system(variant, &pair_for(variant), nested);
-            assert!(
-                report.passed(),
-                "{} system sweep (nested={nested:?}): {:?}",
-                report.variant.label(),
-                report.violations
-            );
-            assert!(report.crash_points > 0);
-            assert_eq!(report.audit_flags, 0);
-            if variant.detectable() && nested.is_some() {
-                assert!(
-                    report.recovery_crashes > 0,
-                    "{}: no nested crash landed inside recovery",
-                    report.variant.label()
-                );
-            }
-        }
-    }
+    struct_variants().for_each(assert_system_sweep_passes);
 }
 
 /// Depth-2 nested schedules on the two detectable constructions of each
@@ -100,8 +54,8 @@ fn system_crash_pair_sweep_passes_for_every_struct_variant() {
 #[test]
 fn depth2_nested_crash_schedules_pass_on_set_general_and_stack_normalized() {
     for (variant, workload) in [
-        (StructVariant::SetGeneral, StructWorkload::set_pair()),
-        (StructVariant::StackNormalized, StructWorkload::stack_pair()),
+        (Variant::SetGeneral, Workload::pair(Shape::Set)),
+        (Variant::StackNormalized, Workload::pair(Shape::Lifo)),
     ] {
         for system in [false, true] {
             let report = sweep_plan(variant, &workload, &[0, 0], system);
@@ -130,11 +84,12 @@ fn depth2_nested_crash_schedules_pass_on_set_general_and_stack_normalized() {
 #[test]
 fn all_three_constructions_of_each_shape_agree_op_for_op() {
     for shape_is_stack in [true, false] {
-        let w = if shape_is_stack {
-            StructWorkload::stack_seeded(11, 40)
+        let shape = if shape_is_stack {
+            Shape::Lifo
         } else {
-            StructWorkload::set_seeded(11, 40)
+            Shape::Set
         };
+        let w = Workload::seeded(shape, 11, 40);
         let run = |which: usize| -> (Vec<Option<u64>>, Vec<u64>) {
             let mem = PMem::with_threads(1);
             let t = mem.thread(0);
@@ -196,18 +151,14 @@ fn all_three_constructions_of_each_shape_agree_op_for_op() {
 #[test]
 fn seeded_multi_op_sweep_is_exact_for_detectable_struct_variants() {
     for variant in [
-        StructVariant::StackGeneral,
-        StructVariant::StackNormalized,
-        StructVariant::SetGeneral,
-        StructVariant::SetNormalized,
-        StructVariant::MapGeneral,
-        StructVariant::MapNormalized,
+        Variant::StackGeneral,
+        Variant::StackNormalized,
+        Variant::SetGeneral,
+        Variant::SetNormalized,
+        Variant::MapGeneral,
+        Variant::MapNormalized,
     ] {
-        let workload = if variant.is_stack() {
-            StructWorkload::stack_seeded(7, 6)
-        } else {
-            StructWorkload::set_seeded(7, 6)
-        };
+        let workload = Workload::seeded(variant.shape(), 7, 6);
         let report = sweep(variant, &workload, None);
         assert!(
             report.passed(),

@@ -1,80 +1,46 @@
-//! Cross-crate integration tests for the `dfck` exhaustive crash-point sweeper:
-//! every queue variant, every crash point of an enqueue/dequeue pair, single and
-//! nested (crash-during-recovery) schedules, checked against the exactly-once /
-//! durable-linearizability oracle. The crash-point counts come from
-//! [`pmem::Stats::crash_points`], so the sweeps automatically track any change to
-//! the instruction footprint of the queues.
+//! Cross-crate integration tests for the `dfck` exhaustive crash-point sweeper
+//! on the queue variants: every crash point of the pair workload, single and
+//! nested (crash-during-recovery) schedules, per-process and full-system
+//! crashes, checked against the exactly-once / durable-linearizability oracle. The
+//! crash-point counts come from [`pmem::Stats::crash_points`], so the sweeps
+//! automatically track any change to the instruction footprint of the
+//! structures.
 
-use bench::dfck::{sweep, sweep_plan, sweep_system, SweepVariant, Workload};
+use bench::dfck::{sweep, sweep_plan, Shape, Variant, Workload};
 use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use delayfree_integration_tests::dfck::{
+    assert_nested_sweep_passes, assert_pair_sweep_passes, assert_system_sweep_passes,
+};
 use pmem::{CrashPlan, PMem};
 use queues::{Durability, GeneralQueue, NormalizedQueue, QueueHandle};
 
+/// The queue variants of the registry (the FIFO shape); the stack, set and
+/// map variants run the same three sweeps in `tests/dfck_struct_sweep.rs`.
+fn queue_variants() -> impl Iterator<Item = Variant> {
+    Variant::all()
+        .into_iter()
+        .filter(|v| v.shape() == Shape::Fifo)
+}
+
 #[test]
 fn every_variant_passes_the_pair_sweep_at_every_crash_point() {
-    for variant in SweepVariant::all() {
-        let report = sweep(variant, &Workload::pair(), None);
-        assert!(
-            report.passed(),
-            "{} pair sweep: {:?}",
-            report.variant.label(),
-            report.violations
-        );
-        // The range really was enumerated (one injected crash per swept point),
-        // and the count came from Stats, not a constant.
-        assert!(report.crash_points > 0);
-        assert_eq!(report.replays, report.crash_points + 1);
-        assert!(report.crashes_injected >= report.crash_points);
-    }
+    queue_variants().for_each(assert_pair_sweep_passes);
 }
 
 #[test]
 fn every_variant_passes_the_nested_crash_during_recovery_sweep() {
-    for variant in SweepVariant::all() {
-        let report = sweep(variant, &Workload::pair(), Some(0));
-        assert!(
-            report.passed(),
-            "{} nested sweep: {:?}",
-            report.variant.label(),
-            report.violations
-        );
-        if variant.detectable() {
-            assert!(
-                report.recovery_crashes > 0,
-                "{}: no nested crash landed inside recovery",
-                report.variant.label()
-            );
-        }
-    }
+    queue_variants().for_each(assert_nested_sweep_passes);
 }
 
 /// Full-system crash sweeps (every injected crash also rolls unflushed cache
-/// lines back) for **every** variant: since the recoverable-CAS layer adopted
-/// the durable-announcement flush discipline (DESIGN.md §7), the capsule
-/// variants pass alongside MSQ-Izraelevitz and LogQueue. Each replay also runs
-/// with the flush-order auditor armed; `passed()` covers its flags too.
+/// lines back) for **every** queue variant: since the recoverable-CAS layer
+/// adopted the durable-announcement flush discipline (DESIGN.md §7), the
+/// capsule variants pass alongside the Izraelevitz variants and LogQueue.
+/// Each replay also runs with the flush-order auditor armed; `passed()`
+/// covers its flags too.
 #[test]
 fn system_crash_pair_sweep_passes_for_every_variant() {
-    for variant in SweepVariant::all() {
-        for nested in [None, Some(0)] {
-            let report = sweep_system(variant, &Workload::pair(), nested);
-            assert!(
-                report.passed(),
-                "{} system sweep (nested={nested:?}): {:?}",
-                report.variant.label(),
-                report.violations
-            );
-            assert!(report.crash_points > 0);
-            assert_eq!(report.audit_flags, 0);
-            if variant.detectable() && nested.is_some() {
-                assert!(
-                    report.recovery_crashes > 0,
-                    "{}: no nested crash landed inside recovery",
-                    report.variant.label()
-                );
-            }
-        }
-    }
+    queue_variants().for_each(assert_system_sweep_passes);
 }
 
 /// Depth-2 nested schedules (`[k, m, n]`: crash at point `k`, again `m` points
@@ -84,9 +50,9 @@ fn system_crash_pair_sweep_passes_for_every_variant() {
 /// simulator's frame recovery — under per-process *and* full-system crashes.
 #[test]
 fn depth2_nested_crash_schedules_pass_on_log_queue_and_normalized() {
-    for variant in [SweepVariant::LogQueue, SweepVariant::Normalized] {
+    for variant in [Variant::LogQueue, Variant::Normalized] {
         for system in [false, true] {
-            let report = sweep_plan(variant, &Workload::pair(), &[0, 0], system);
+            let report = sweep_plan(variant, &Workload::pair(Shape::Fifo), &[0, 0], system);
             assert!(
                 report.passed(),
                 "{} depth-2 sweep (system={system}): {:?}",
@@ -109,8 +75,8 @@ fn depth2_nested_crash_schedules_pass_on_log_queue_and_normalized() {
 
 #[test]
 fn seeded_multi_op_sweep_is_exact_for_detectable_variants() {
-    let workload = Workload::seeded(7, 6);
-    for variant in [SweepVariant::General, SweepVariant::Normalized, SweepVariant::LogQueue] {
+    let workload = Workload::seeded(Shape::Fifo, 7, 6);
+    for variant in [Variant::General, Variant::Normalized, Variant::LogQueue] {
         let report = sweep(variant, &workload, None);
         assert!(
             report.passed(),
@@ -166,7 +132,10 @@ fn nested_crash_during_recovery_is_invisible_for_both_simulators() {
         h.enqueue(3);
         (h.drain(), t.stats().crashes, window.crash_points)
     };
-    for (which, label) in [(Which::General, "General"), (Which::Normalized, "Normalized")] {
+    for (which, label) in [
+        (Which::General, "General"),
+        (Which::Normalized, "Normalized"),
+    ] {
         // Learn where "mid-enqueue" is from the crash-free run, then crash
         // there and again at the first instruction of the triggered recovery.
         let (history, _, points) = run(which, None);
