@@ -23,12 +23,19 @@ Checks (all fatal, exit 1, every failure reported before exiting):
    million-key scenario (params.keys >= 2^20). The wide default tolerance is
    deliberate: the mixed workload includes bucket-array resizes, whose
    placement relative to the timed window shifts with machine speed.
+5. dfck (--dfck): a fresh default-matrix dfck run must carry the committed
+   BENCH_dfck.json's rows in the same order with the same parameters, and
+   every row's deterministic counters (DFCK_COUNTERS) must be equal. The
+   counters are exact crash-point and replay counts, not timings, so any
+   difference means an operation's simulated instruction sequence or the
+   sweep itself changed; re-record the baseline in the change that means it.
 
 Usage:
   regress.py --baseline benchmarks \
-             --fig7 fresh/BENCH_fig7.json \
+             [--fig7 fresh/BENCH_fig7.json] \
              [--instr fresh/BENCH_instr_overhead.json] \
-             [--map fresh/BENCH_map.json]
+             [--map fresh/BENCH_map.json] \
+             [--dfck fresh/BENCH_dfck.json]
 
 Env overrides: DF_REGRESS_TOL, DF_REGRESS_SCALE_MIN, DF_REGRESS_CEILING,
 DF_REGRESS_DISARM_TOL, DF_REGRESS_MAP_TOL.
@@ -48,6 +55,22 @@ SEED_CEILING = float(os.environ.get("DF_REGRESS_CEILING", "3.7"))
 DISARM_TOL = float(os.environ.get("DF_REGRESS_DISARM_TOL", "0.30"))
 MAP_TOL = float(os.environ.get("DF_REGRESS_MAP_TOL", "0.60"))
 MILLION_KEYS = 1 << 20
+DFCK_COUNTERS = [
+    "crash_points",
+    "replays",
+    "crashes_injected",
+    "recoveries",
+    "entry_retries",
+    "recovery_crashes",
+    "fast_ops",
+    "demotions",
+    "seeds",
+    "distinct_interleavings",
+    "covictim_crashes",
+    "audit_flags",
+    "hb_flags",
+    "oracle_failures",
+]
 
 
 def rows(doc, variant=None, threads=None):
@@ -156,34 +179,57 @@ def check_map(baseline, fresh, failures):
             print(f"ok fig_map {variant}: {new:.3f} vs baseline {r['mops']:.3f}")
 
 
+def check_dfck(baseline, fresh, failures):
+    if baseline.get("params") != fresh.get("params"):
+        failures.append(
+            f"dfck params differ: baseline {baseline.get('params')} "
+            f"vs fresh {fresh.get('params')} (run the default matrix)"
+        )
+    base_rows, fresh_rows = baseline["results"], fresh["results"]
+    if len(base_rows) != len(fresh_rows):
+        failures.append(
+            f"dfck row count differs: baseline {len(base_rows)} vs fresh {len(fresh_rows)}"
+        )
+    diffs = 0
+    for i, (b, f) in enumerate(zip(base_rows, fresh_rows)):
+        if b["variant"] != f["variant"]:
+            failures.append(f"dfck row {i}: variant {f['variant']!r}, baseline {b['variant']!r}")
+            diffs += 1
+            continue
+        for c in DFCK_COUNTERS:
+            if b.get(c) != f.get(c):
+                failures.append(f"dfck {b['variant']} {c}: {f.get(c)} vs baseline {b.get(c)}")
+                diffs += 1
+    if diffs == 0 and len(base_rows) == len(fresh_rows):
+        print(f"ok dfck: {len(base_rows)} rows, counters equal to the baseline")
+
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--baseline", required=True, help="directory with committed BENCH_*.json")
-    ap.add_argument("--fig7", required=True, help="fresh BENCH_fig7.json")
+    ap.add_argument("--fig7", help="fresh BENCH_fig7.json (optional)")
     ap.add_argument("--instr", help="fresh BENCH_instr_overhead.json (optional)")
     ap.add_argument("--map", dest="map_json", help="fresh BENCH_map.json (optional)")
+    ap.add_argument("--dfck", help="fresh default-matrix BENCH_dfck.json (optional)")
     args = ap.parse_args()
+    gates = [
+        (args.fig7, "BENCH_fig7.json", check_fig7),
+        (args.instr, "BENCH_instr_overhead.json", check_instr),
+        (args.map_json, "BENCH_map.json", check_map),
+        (args.dfck, "BENCH_dfck.json", check_dfck),
+    ]
+    if not any(fresh for fresh, _, _ in gates):
+        ap.error("name at least one fresh file to gate")
 
     failures = []
-    with open(os.path.join(args.baseline, "BENCH_fig7.json")) as f:
-        fig7_base = json.load(f)
-    with open(args.fig7) as f:
-        fig7_fresh = json.load(f)
-    check_fig7(fig7_base, fig7_fresh, failures)
-
-    if args.instr:
-        with open(os.path.join(args.baseline, "BENCH_instr_overhead.json")) as f:
-            instr_base = json.load(f)
-        with open(args.instr) as f:
-            instr_fresh = json.load(f)
-        check_instr(instr_base, instr_fresh, failures)
-
-    if args.map_json:
-        with open(os.path.join(args.baseline, "BENCH_map.json")) as f:
-            map_base = json.load(f)
-        with open(args.map_json) as f:
-            map_fresh = json.load(f)
-        check_map(map_base, map_fresh, failures)
+    for fresh, name, check in gates:
+        if fresh:
+            check(load(os.path.join(args.baseline, name)), load(fresh), failures)
 
     if failures:
         for msg in failures:

@@ -95,7 +95,8 @@ pub enum Variant {
     GeneralOpt,
     /// The Normalized transformation: detectable via capsules.
     Normalized,
-    /// Normalized with compact frames + inline CAS lists (Normalized-Opt).
+    /// Normalized with compact frames (Normalized-Opt); like Normalized, its
+    /// single-entry CAS lists ride in the capsule frame.
     NormalizedOpt,
     /// Friedman et al.'s LogQueue: detectable via its operation log.
     LogQueue,

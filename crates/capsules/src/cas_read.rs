@@ -6,10 +6,11 @@
 //! the CAS must not take effect twice. [`recoverable_cas`] implements exactly the
 //! pseudocode of Algorithm 3: advance the capsule's sequence number, and — only on
 //! the crash path — consult `checkRecovery` before deciding whether to issue the
-//! CAS again.
+//! CAS again. [`recover_fast`] is the crash triage of the contention-adaptive
+//! fast capsules, which replace the recoverable CAS by one evidence-carrying CAS.
 
 use pmem::PAddr;
-use rcas::{check_recovery, RcasSpace};
+use rcas::{check_recovery, CasEvidence, RcasSpace};
 
 use crate::runtime::CapsuleRuntime;
 
@@ -52,6 +53,34 @@ pub fn anonymous_cas(
     new: u64,
 ) -> bool {
     space.cas_anonymous(rt.thread(), x, expected, new)
+}
+
+/// Crash triage of a contention-adaptive fast capsule (DESIGN.md §11), whose
+/// only shared effect is one evidence-carrying CAS
+/// ([`RcasSpace::cas_with_evidence`]). Returns `Some(evidence)` when the crash
+/// interrupted *this* operation's CAS and that CAS took effect (the operation
+/// is complete); `None` means no durable effect escaped and the fast capsule
+/// may simply retry. Either way the runtime's sequence number is raised past
+/// every announced attempt, so no sequence number is ever reused.
+pub fn recover_fast(rt: &mut CapsuleRuntime<'_, '_>, space: &RcasSpace) -> Option<CasEvidence> {
+    let t = rt.thread();
+    // Honour the sharding contract: a recovering process re-runs the notify
+    // step for its own announcement group before consulting its own state.
+    let _ = space.help_group(t);
+    let ann = space.announcement(t);
+    if ann.seq <= rt.seq() {
+        return None; // crash hit before this op announced anything
+    }
+    rt.sync_seq(ann.seq);
+    let ev = space.evidence(t)?;
+    if ev.result.seq != ann.seq {
+        return None;
+    }
+    if space.recover(t, ev.x).flag {
+        Some(ev)
+    } else {
+        None // announced but the CAS never took durable effect: retry
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@
 //!   crashes and restarts the interrupted capsule, standing in for the restart
 //!   pointer + context reload of §2.1,
 //! * [`cas_read`] — Algorithm 3: the recoverable CAS at the head of a CAS-Read
-//!   capsule, wrapped so it is executed exactly once even across crashes.
+//!   capsule, wrapped so it is executed exactly once even across crashes, and
+//!   [`recover_fast`], the crash triage of the contention-adaptive fast capsules.
 //!
 //! Everything is expressed against the simulated machine of the [`pmem`] crate, so
 //! boundaries cost real (simulated) flushes and fences that show up in [`pmem::Stats`].
@@ -84,7 +85,7 @@ pub mod contention;
 pub mod frame;
 pub mod runtime;
 
-pub use cas_read::{anonymous_cas, recoverable_cas};
+pub use cas_read::{anonymous_cas, recover_fast, recoverable_cas};
 pub use contention::{adaptive_enabled, ContentionMeasure};
 pub use frame::{BoundaryStyle, Frame};
 pub use runtime::{CapsuleMetrics, CapsuleRuntime, CapsuleStep};

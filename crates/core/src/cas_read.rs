@@ -15,36 +15,71 @@
 //! Fewer boundaries mean less computation delay but a longer re-execution after a
 //! crash — exactly the trade-off of the paper's "General" queue variant.
 //!
-//! The simulator is a thin layer: the CAS entry point is
-//! [`capsules::recoverable_cas`]; this type adds the read helpers and records how
-//! many boundaries a transformed operation actually used so tests can verify the
-//! boundary-count claims (e.g. that the General queue uses more boundaries per
-//! operation than the Normalized one).
+//! The simulator owns the plumbing every CAS-Read structure shares — the General
+//! queue, stack, set and map hold one and declare only their capsule state
+//! machines: it builds the recoverable-CAS space (durable announcements under the
+//! hand-placed flush discipline), creates and re-attaches capsule runtimes in its
+//! frame style, runs the capsule-opening CAS ([`capsules::recoverable_cas`]) and
+//! owns the two persist rules of the shared-cache model
+//! ([`persist`](CasReadSimulator::persist) before a CAS,
+//! [`persist_before_boundary`](CasReadSimulator::persist_before_boundary) before a
+//! boundary).
 
-use capsules::{recoverable_cas, CapsuleRuntime};
-use pmem::PAddr;
-use rcas::RcasSpace;
+use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime};
+use pmem::{PAddr, PThread};
+use rcas::{RcasLayout, RcasSpace};
 
 /// The Low-Computation-Delay (CAS-Read) simulator.
 #[derive(Clone, Copy, Debug)]
 pub struct CasReadSimulator {
     space: RcasSpace,
+    style: BoundaryStyle,
 }
 
 impl CasReadSimulator {
-    /// Build a simulator that uses `space` for its recoverable CASes.
-    pub fn new(space: RcasSpace) -> CasReadSimulator {
-        CasReadSimulator { space }
+    /// Build a simulator for `nprocs` processes over a fresh recoverable-CAS space
+    /// with `layout`. `durable` selects the hand-placed flush discipline of the
+    /// shared-cache model: the space then makes announcement lines durable before
+    /// every publishing CAS (DESIGN.md §7) and the persist rules flush. `style` is
+    /// the frame layout of every runtime the simulator creates.
+    pub fn new(
+        thread: &PThread<'_>,
+        nprocs: usize,
+        layout: RcasLayout,
+        durable: bool,
+        style: BoundaryStyle,
+    ) -> CasReadSimulator {
+        let space = RcasSpace::new(thread, nprocs, layout).with_durability(durable);
+        CasReadSimulator { space, style }
     }
 
     /// The recoverable-CAS space used by this simulator.
+    #[inline]
     pub fn space(&self) -> &RcasSpace {
         &self.space
+    }
+
+    /// Whether the simulator follows the hand-placed flush discipline.
+    #[inline]
+    pub fn durable(&self) -> bool {
+        self.space.durable()
+    }
+
+    /// A fresh capsule runtime with `nvars` persisted locals for `thread`.
+    pub fn runtime<'t, 'm>(&self, thread: &'t PThread<'m>, nvars: usize) -> CapsuleRuntime<'t, 'm> {
+        CapsuleRuntime::new(thread, self.style, nvars)
+    }
+
+    /// Re-attach `thread`'s runtime after a restart, resuming from the frame its
+    /// restart pointer names.
+    pub fn attach<'t, 'm>(&self, thread: &'t PThread<'m>, nvars: usize) -> CapsuleRuntime<'t, 'm> {
+        CapsuleRuntime::attach_from_restart_pointer(thread, self.style, nvars)
     }
 
     /// The CAS that opens a CAS-Read capsule (Algorithm 3). Must be the capsule's
     /// first shared-memory effect; `expected`/`new` must come from state persisted
     /// at the previous boundary.
+    #[inline]
     pub fn capsule_cas(
         &self,
         rt: &mut CapsuleRuntime<'_, '_>,
@@ -53,6 +88,37 @@ impl CasReadSimulator {
         new: u64,
     ) -> bool {
         recoverable_cas(rt, &self.space, addr, expected, new)
+    }
+
+    /// Persist the line holding `addr` under the durable discipline, when the next
+    /// publication is a locked CAS (or nothing). Compact frames (the `-Opt`
+    /// variants) elide the fence: the CAS's lock prefix orders the pending flush
+    /// just like the fence would (Px86). A capsule *boundary* does not qualify —
+    /// use [`persist_before_boundary`](Self::persist_before_boundary).
+    #[inline]
+    pub fn persist(&self, thread: &PThread<'_>, addr: PAddr) {
+        if !self.durable() {
+            return;
+        }
+        thread.flush(addr);
+        if self.style != BoundaryStyle::Compact {
+            thread.fence();
+        }
+    }
+
+    /// Persist the line holding `addr` under the durable discipline, when the next
+    /// publication is a capsule boundary: flush and always fence. The compact
+    /// boundary publishes its control word with a release *store* — a plain `mov`
+    /// on x86, which (unlike a locked CAS) does not order earlier `clflushopt`s —
+    /// so a crash between the boundary's own flush and its trailing fence could
+    /// persist the frame without the line it references (DESIGN.md §13).
+    #[inline]
+    pub fn persist_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
+        if !self.durable() {
+            return;
+        }
+        thread.flush(addr);
+        thread.fence();
     }
 
     /// A shared read of a recoverable-CAS-formatted word. Reads are invisible and
@@ -77,8 +143,12 @@ impl CasReadSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capsules::{BoundaryStyle, CapsuleStep};
-    use pmem::{install_quiet_crash_hook, CrashPolicy, PMem};
+    use capsules::CapsuleStep;
+    use pmem::{install_quiet_crash_hook, CrashPolicy, MemConfig, Mode, PMem};
+
+    fn simulator(t: &PThread<'_>, nprocs: usize) -> CasReadSimulator {
+        CasReadSimulator::new(t, nprocs, RcasLayout::DEFAULT, false, BoundaryStyle::General)
+    }
 
     /// The canonical CAS-Read encapsulation of a fetch-and-increment: capsule 0
     /// (read-only) reads and persists the expected value, capsule 1 (CAS-Read) does
@@ -87,14 +157,13 @@ mod tests {
     fn increment(
         mem: &PMem,
         pid: usize,
-        space: &RcasSpace,
+        sim: &CasReadSimulator,
         x: PAddr,
         n: u64,
         policy: CrashPolicy,
     ) -> capsules::CapsuleMetrics {
         let t = mem.thread(pid);
-        let sim = CasReadSimulator::new(*space);
-        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 2);
+        let mut rt = sim.runtime(&t, 2);
         // Arm crash injection only after the runtime's frame exists.
         t.set_crash_policy(policy);
         for _ in 0..n {
@@ -127,10 +196,10 @@ mod tests {
     fn increments_are_exact_without_crashes() {
         let mem = PMem::with_threads(1);
         let t = mem.thread(0);
-        let space = RcasSpace::with_default_layout(&t, 1);
-        let x = space.create(&t, 0).addr();
-        increment(&mem, 0, &space, x, 64, CrashPolicy::Never);
-        assert_eq!(space.read(&mem.thread(0), x), 64);
+        let sim = simulator(&t, 1);
+        let x = sim.space().create(&t, 0).addr();
+        increment(&mem, 0, &sim, x, 64, CrashPolicy::Never);
+        assert_eq!(sim.space().read(&mem.thread(0), x), 64);
     }
 
     #[test]
@@ -138,17 +207,17 @@ mod tests {
         install_quiet_crash_hook();
         let mem = PMem::with_threads(2);
         let t = mem.thread(0);
-        let space = RcasSpace::with_default_layout(&t, 2);
-        let x = space.create(&t, 0).addr();
+        let sim = simulator(&t, 2);
+        let x = sim.space().create(&t, 0).addr();
         std::thread::scope(|s| {
             for pid in 0..2 {
                 let mem = &mem;
-                let space = &space;
+                let sim = &sim;
                 s.spawn(move || {
                     increment(
                         mem,
                         pid,
-                        space,
+                        sim,
                         x,
                         120,
                         CrashPolicy::Random {
@@ -159,7 +228,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(space.read(&mem.thread(0), x), 240);
+        assert_eq!(sim.space().read(&mem.thread(0), x), 240);
     }
 
     #[test]
@@ -172,10 +241,9 @@ mod tests {
         let run = |plan: Option<pmem::CrashPlan>| -> (u64, u64) {
             let mem = PMem::with_threads(1);
             let t = mem.thread(0);
-            let space = RcasSpace::with_default_layout(&t, 1);
-            let x = space.create(&t, 0).addr();
-            let sim = CasReadSimulator::new(space);
-            let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, 2);
+            let sim = simulator(&t, 1);
+            let x = sim.space().create(&t, 0).addr();
+            let mut rt = sim.runtime(&t, 2);
             let _ = t.take_stats();
             if let Some(p) = plan {
                 t.set_crash_schedule(p);
@@ -204,7 +272,7 @@ mod tests {
             }
             let points = t.stats().crash_points;
             t.disarm_crashes();
-            (space.read(&t, x), points)
+            (sim.space().read(&t, x), points)
         };
         let (value, n) = run(None);
         assert_eq!(value, 3);
@@ -226,11 +294,45 @@ mod tests {
         // counted.
         let mem = PMem::with_threads(1);
         let t = mem.thread(0);
-        let space = RcasSpace::with_default_layout(&t, 1);
-        let x = space.create(&t, 0).addr();
-        let metrics = increment(&mem, 0, &space, x, 20, CrashPolicy::Never);
+        let sim = simulator(&t, 1);
+        let x = sim.space().create(&t, 0).addr();
+        let metrics = increment(&mem, 0, &sim, x, 20, CrashPolicy::Never);
         // entry boundary + read capsule + CAS capsule = 3 boundaries per operation.
         assert_eq!(metrics.boundaries, 3 * 20);
         assert_eq!(metrics.operations, 20);
+    }
+
+    #[test]
+    fn persist_rules_follow_durability_and_frame_style() {
+        // (flushes, fences) of one `persist` and one `persist_before_boundary`
+        // of a freshly written line, per configuration: the fence is elided
+        // only before a CAS with compact frames, and nothing is issued when
+        // the simulator is not durable.
+        let mem = PMem::new(MemConfig::new(1).mode(Mode::SharedCache));
+        let t = mem.thread(0);
+        let cases = [
+            (true, BoundaryStyle::General, (1, 1), (1, 1)),
+            (true, BoundaryStyle::Compact, (1, 0), (1, 1)),
+            (false, BoundaryStyle::General, (0, 0), (0, 0)),
+            (false, BoundaryStyle::Compact, (0, 0), (0, 0)),
+        ];
+        for (durable, style, persist, before_boundary) in cases {
+            let sim = CasReadSimulator::new(&t, 1, RcasLayout::DEFAULT, durable, style);
+            let cost = |rule: fn(&CasReadSimulator, &PThread<'_>, PAddr)| {
+                let x = t.alloc(1);
+                t.write(x, 1);
+                let before = t.stats();
+                rule(&sim, &t, x);
+                let d = t.stats().since(&before);
+                (d.flushes, d.fences)
+            };
+            let label = format!("durable={durable} style={style:?}");
+            assert_eq!(cost(CasReadSimulator::persist), persist, "persist, {label}");
+            assert_eq!(
+                cost(CasReadSimulator::persist_before_boundary),
+                before_boundary,
+                "persist_before_boundary, {label}"
+            );
+        }
     }
 }

@@ -11,9 +11,12 @@
 //! * [`CasReadSimulator`] (§6) — the Low-Computation-Delay simulator: capsule
 //!   boundaries only where required by the CAS-Read discipline (one CAS at the head
 //!   of a capsule, reads afterwards), trading recovery delay for fewer boundaries.
+//!   The General queue, stack, set and map run on it: it owns their recoverable-CAS
+//!   space, runtimes and persist rules, and they declare only their capsules.
 //! * [`NormalizedSimulator`] (§7, Algorithm 4) — for normalized lock-free data
 //!   structures (CAS generator / CAS executor / wrap-up): one capsule boundary per
-//!   iteration of the operation's retry loop.
+//!   iteration of the operation's retry loop. The Normalized queue, stack, set and
+//!   map run on it and declare only their generators and wrap-ups.
 //!
 //! plus:
 //!
@@ -68,14 +71,13 @@
 //!
 //! let mem = PMem::with_threads(1);
 //! let t = mem.thread(0);
-//! let space = RcasSpace::with_default_layout(&t, 1);
-//! let op = FetchAdd { x: space.create(&t, 0).addr() };
+//! let sim = NormalizedSimulator::new(&t, 1, RcasLayout::DEFAULT, false, BoundaryStyle::General);
+//! let op = FetchAdd { x: sim.space().create(&t, 0).addr() };
 //!
-//! let sim = NormalizedSimulator::new(space, false);
-//! let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+//! let mut rt = sim.runtime(&t);
 //! assert_eq!(sim.run(&mut rt, &op, &5), 0); // returns the old value...
 //! assert_eq!(sim.run(&mut rt, &op, &2), 5); // ...exactly once, even across crashes
-//! assert_eq!(space.read(&t, op.x), 7);
+//! assert_eq!(sim.space().read(&t, op.x), 7);
 //! ```
 
 #![warn(missing_docs)]
@@ -91,7 +93,6 @@ pub use constant_delay::ConstantDelaySimulator;
 pub use delay::{DelayReport, RecoveryProbe};
 pub use normalized::{
     CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, PersistResult, WrapUp,
-    NORMALIZED_INLINE_LOCALS, NORMALIZED_LOCALS,
 };
 pub use writes::write_as_cas;
 
@@ -99,7 +100,7 @@ pub use writes::write_as_cas;
 pub mod prelude {
     pub use crate::{
         write_as_cas, CasDesc, CasList, CasReadSimulator, ConstantDelaySimulator, NormalizedCtx,
-        NormalizedOp, NormalizedSimulator, PersistResult, WrapUp, NORMALIZED_LOCALS,
+        NormalizedOp, NormalizedSimulator, PersistResult, WrapUp,
     };
     pub use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep};
     pub use pmem::{CrashPolicy, MemConfig, Mode, PAddr, PMem, PThread, Stats, ThreadOptions};

@@ -19,10 +19,18 @@
 //! Locations that both an executor and a generator/wrap-up may CAS must use the
 //! *anonymous* CAS ([`NormalizedCtx::helping_cas`]) in the parallelizable parts so
 //! that executor notifications are never clobbered (§7).
+//!
+//! The simulator owns the plumbing every normalized structure shares — the
+//! Normalized queue, stack, set and map hold one and declare only their
+//! generators and wrap-ups: it builds the recoverable-CAS space, creates and
+//! re-attaches capsule runtimes in its frame style, and persists the CAS list as
+//! a frame local. A single-entry list (the common case) rides inside the frame,
+//! so the pre-executor boundary is its only persistence work; longer lists go to
+//! a fresh heap buffer whose address the frame records.
 
-use capsules::{CapsuleRuntime, CapsuleStep};
+use capsules::{recover_fast, BoundaryStyle, CapsuleRuntime, CapsuleStep};
 use pmem::{PAddr, PThread};
-use rcas::{check_recovery, RcasSpace};
+use rcas::{check_recovery, RcasLayout, RcasSpace};
 
 /// One entry of a CAS list: CAS `obj` from `expected` to `new`. The `aux` word is
 /// carried along untouched — data structures use it to pass information from the
@@ -223,50 +231,41 @@ const PC_FAST: u32 = 3;
 const L_BUF: usize = 0;
 const L_LEN: usize = 1;
 const L_OUT: usize = 2;
-/// First of the four slots used when a single-entry CAS list is stored inline in
-/// the frame instead of a heap buffer (the `-Opt` optimisation).
+/// First of the four slots that hold a single-entry CAS list inline in the frame.
 const L_INLINE: usize = 3;
-
-/// Number of user locals a [`CapsuleRuntime`] needs to run this simulator.
-pub const NORMALIZED_LOCALS: usize = 3;
-/// Number of user locals needed when inline CAS lists are enabled
-/// ([`NormalizedSimulator::with_inline_lists`]).
-pub const NORMALIZED_INLINE_LOCALS: usize = 7;
+/// Number of user locals of the runtimes this simulator creates.
+const LOCALS: usize = L_INLINE + 4;
 
 /// The Persistent Normalized Simulator (Algorithm 4).
 #[derive(Clone, Copy, Debug)]
 pub struct NormalizedSimulator {
     space: RcasSpace,
-    durable: bool,
-    inline_lists: bool,
+    style: BoundaryStyle,
     adaptive: bool,
 }
 
 impl NormalizedSimulator {
-    /// Build a simulator. With `durable = true` the simulator flushes the persisted
-    /// CAS list and every object an executor CAS updates, which is the hand-placed
-    /// flush discipline of the paper's "manual" shared-cache variants; with
-    /// `durable = false` no flushes are issued (private-cache model, or the
-    /// Izraelevitz construction supplied by the thread options).
-    pub fn new(space: RcasSpace, durable: bool) -> NormalizedSimulator {
+    /// Build a simulator for `nprocs` processes over a fresh recoverable-CAS space
+    /// with `layout`. With `durable = true` the simulator follows the hand-placed
+    /// flush discipline of the paper's "manual" shared-cache variants: the space
+    /// makes announcement lines durable before every publishing CAS (DESIGN.md
+    /// §7), and the simulator flushes every heap-buffered CAS list and every
+    /// object an executor CAS updates; with `durable = false` no flushes are
+    /// issued (private-cache model, or the Izraelevitz construction supplied by
+    /// the thread options). `style` is the frame layout of every runtime the
+    /// simulator creates.
+    pub fn new(
+        thread: &PThread<'_>,
+        nprocs: usize,
+        layout: RcasLayout,
+        durable: bool,
+        style: BoundaryStyle,
+    ) -> NormalizedSimulator {
         NormalizedSimulator {
-            space,
-            durable,
-            inline_lists: false,
+            space: RcasSpace::new(thread, nprocs, layout).with_durability(durable),
+            style,
             adaptive: false,
         }
-    }
-
-    /// Enable the hand-optimisation used by the paper's `Normalized-Opt` variant:
-    /// a CAS list with at most one entry is persisted directly in the capsule frame
-    /// (ideally a [`BoundaryStyle::Compact`](capsules::BoundaryStyle) frame, so the
-    /// whole boundary is one flush and one fence) instead of a separate heap buffer,
-    /// saving one flush + fence per operation. The runtime must provide
-    /// [`NORMALIZED_INLINE_LOCALS`] user locals. Longer lists transparently fall
-    /// back to the heap buffer.
-    pub fn with_inline_lists(mut self) -> NormalizedSimulator {
-        self.inline_lists = true;
-        self
     }
 
     /// Enable the contention-adaptive fast path: an uncontended operation whose
@@ -295,8 +294,20 @@ impl NormalizedSimulator {
     }
 
     /// Whether the simulator issues hand-placed flushes.
+    #[inline]
     pub fn durable(&self) -> bool {
-        self.durable
+        self.space.durable()
+    }
+
+    /// A fresh capsule runtime for `thread`, with the locals the simulator needs.
+    pub fn runtime<'t, 'm>(&self, thread: &'t PThread<'m>) -> CapsuleRuntime<'t, 'm> {
+        CapsuleRuntime::new(thread, self.style, LOCALS)
+    }
+
+    /// Re-attach `thread`'s runtime after a restart, resuming from the frame its
+    /// restart pointer names.
+    pub fn attach<'t, 'm>(&self, thread: &'t PThread<'m>) -> CapsuleRuntime<'t, 'm> {
+        CapsuleRuntime::attach_from_restart_pointer(thread, self.style, LOCALS)
     }
 
     /// Run one normalized operation to completion (surviving crashes).
@@ -342,7 +353,7 @@ impl NormalizedSimulator {
                             CapsuleStep::Done(out)
                         }
                         WrapUp::Restart => {
-                            if self.inline_lists && rt.crashed() {
+                            if rt.crashed() {
                                 // The crashed path read the inline list slots that
                                 // regenerating would overwrite (a write-after-read
                                 // hazard in single-copy frames). Pay one extra
@@ -385,44 +396,31 @@ impl NormalizedSimulator {
         cached: &mut Option<CasList>,
     ) -> Option<O::Output> {
         if rt.crashed() {
-            // Crash triage from the announcement line alone. Honour the
-            // sharding contract first: re-run the notify step for the group.
-            let t = rt.thread();
-            let _ = self.space.help_group(t);
-            let ann = self.space.announcement(t);
-            if ann.seq > rt.seq() {
-                // The crash hit at or after this operation's announce; no
-                // sequence number may ever be reused, so raise ours past it.
-                rt.sync_seq(ann.seq);
-                if let Some(ev) = self.space.evidence(t) {
-                    if ev.result.seq == ann.seq && self.space.recover(t, ev.x).flag {
-                        // The fast CAS took effect: re-persist its target (the
-                        // original flush may have been interrupted), rebuild
-                        // the one-entry list from the evidence and let the
-                        // wrap-up finish the operation.
-                        if self.durable {
-                            t.persist(ev.x);
-                        }
-                        let list = vec![CasDesc {
-                            obj: ev.x,
-                            expected: ev.expected,
-                            new: ev.new,
-                            aux: ev.aux,
-                        }];
-                        let wrap =
-                            op.wrap_up(&mut NormalizedCtx::new(rt, &self.space), input, &list, 1);
-                        if let WrapUp::Done(out) = wrap {
-                            rt.set_local(L_OUT, out.to_word());
-                            rt.finish_boundary(PC_DONE);
-                            return Some(out);
-                        }
-                        // A wrap-up that restarts even though every CAS of its
-                        // list succeeded (not the MSQ, but legal): fall through
-                        // and run the loop below from a clean slate.
-                    }
+            if let Some(ev) = recover_fast(rt, &self.space) {
+                // The fast CAS took effect: re-persist its target (the
+                // original flush may have been interrupted), rebuild the
+                // one-entry list from the evidence and let the wrap-up finish
+                // the operation.
+                if self.durable() {
+                    rt.thread().persist(ev.x);
                 }
-                // No durable effect escaped the crash: plain retry is safe.
+                let list = vec![CasDesc {
+                    obj: ev.x,
+                    expected: ev.expected,
+                    new: ev.new,
+                    aux: ev.aux,
+                }];
+                let wrap = op.wrap_up(&mut NormalizedCtx::new(rt, &self.space), input, &list, 1);
+                if let WrapUp::Done(out) = wrap {
+                    rt.set_local(L_OUT, out.to_word());
+                    rt.finish_boundary(PC_DONE);
+                    return Some(out);
+                }
+                // A wrap-up that restarts even though every CAS of its list
+                // succeeded (not the MSQ, but legal): fall through and run the
+                // loop below from a clean slate.
             }
+            // Otherwise no durable effect escaped the crash: plain retry is safe.
         }
         loop {
             let list = op.generator(&mut NormalizedCtx::new(rt, &self.space), input);
@@ -441,7 +439,7 @@ impl NormalizedSimulator {
                         .space
                         .cas_with_evidence(rt.thread(), c.obj, c.expected, c.new, seq, c.aux)
                     {
-                        if self.durable {
+                        if self.durable() {
                             rt.thread().persist(c.obj);
                         }
                         rt.contention_mut().record_success();
@@ -471,14 +469,15 @@ impl NormalizedSimulator {
         }
     }
 
-    /// Write the CAS list to a fresh persistent buffer, record it in the frame
-    /// locals and emit the pre-executor boundary. A fresh buffer per iteration keeps
-    /// the previous iteration's list intact, so re-running the capsule that produced
-    /// this one (which must re-read the *old* list for its executor) stays safe.
+    /// Record the CAS list in the frame locals and emit the pre-executor boundary.
+    /// A list of at most one entry travels inside the frame; a longer one goes to a
+    /// fresh persistent buffer. A fresh buffer per iteration keeps the previous
+    /// iteration's list intact, so re-running the capsule that produced this one
+    /// (which must re-read the *old* list for its executor) stays safe.
     fn persist_list_and_boundary(&self, rt: &mut CapsuleRuntime<'_, '_>, list: &CasList) {
-        if self.inline_lists && list.len() <= 1 {
-            // -Opt path: the (single-entry or empty) list travels inside the frame,
-            // so the boundary itself is the only persistence work.
+        if list.len() <= 1 {
+            // The (single-entry or empty) list travels inside the frame, so the
+            // boundary itself is the only persistence work.
             if let Some(c) = list.first() {
                 rt.set_local_addr(L_INLINE, c.obj);
                 rt.set_local(L_INLINE + 1, c.expected);
@@ -501,7 +500,7 @@ impl NormalizedSimulator {
             thread.write(base.offset(2), c.new);
             thread.write(base.offset(3), c.aux);
         }
-        if self.durable {
+        if self.durable() {
             // Persist the buffer (it may span multiple lines) before the boundary
             // publishes its address.
             let mut w = 0;
@@ -521,7 +520,7 @@ impl NormalizedSimulator {
         let buf = rt.local_addr(L_BUF);
         let len = rt.local(L_LEN) as usize;
         if buf.is_null() {
-            // Inline list (the -Opt path).
+            // Inline list.
             if len == 0 {
                 return Vec::new();
             }
@@ -562,7 +561,7 @@ impl NormalizedSimulator {
                 if !self.space.cas(rt.thread(), c.obj, c.expected, c.new, seq) {
                     return i;
                 }
-                if self.durable {
+                if self.durable() {
                     rt.thread().persist(c.obj);
                 }
             }
@@ -574,7 +573,6 @@ impl NormalizedSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capsules::BoundaryStyle;
     use pmem::{install_quiet_crash_hook, CrashPolicy, PMem};
 
     /// A normalized fetch-and-add: generator reads the counter and proposes one CAS;
@@ -637,36 +635,38 @@ mod tests {
         }
     }
 
-    fn setup(threads: usize) -> (PMem, RcasSpace) {
+    fn setup(threads: usize) -> (PMem, NormalizedSimulator) {
         let mem = PMem::with_threads(threads);
-        let space = RcasSpace::with_default_layout(&mem.thread(0), threads);
-        (mem, space)
+        let sim = simulator(&mem.thread(0), threads, false);
+        (mem, sim)
+    }
+
+    fn simulator(t: &PThread<'_>, threads: usize, durable: bool) -> NormalizedSimulator {
+        NormalizedSimulator::new(t, threads, RcasLayout::DEFAULT, durable, BoundaryStyle::General)
     }
 
     #[test]
     fn counter_accumulates_and_returns_old_values() {
-        let (mem, space) = setup(1);
+        let (mem, sim) = setup(1);
         let t = mem.thread(0);
-        let x = space.create(&t, 0).addr();
-        let sim = NormalizedSimulator::new(space, false);
+        let x = sim.space().create(&t, 0).addr();
         let op = NormalizedCounter { x };
-        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+        let mut rt = sim.runtime(&t);
         let mut olds = Vec::new();
         for _ in 0..10 {
             olds.push(sim.run(&mut rt, &op, &3));
         }
         assert_eq!(olds, (0..10).map(|i| i * 3).collect::<Vec<u64>>());
-        assert_eq!(space.read(&t, x), 30);
+        assert_eq!(sim.space().read(&t, x), 30);
     }
 
     #[test]
     fn one_boundary_per_uncontended_iteration() {
-        let (mem, space) = setup(1);
+        let (mem, sim) = setup(1);
         let t = mem.thread(0);
-        let x = space.create(&t, 0).addr();
-        let sim = NormalizedSimulator::new(space, false);
+        let x = sim.space().create(&t, 0).addr();
         let op = NormalizedCounter { x };
-        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+        let mut rt = sim.runtime(&t);
         rt.set_entry_boundary(false);
         let before = rt.metrics().boundaries;
         let _ = sim.run(&mut rt, &op, &1);
@@ -678,19 +678,18 @@ mod tests {
     #[test]
     fn counter_is_exact_under_crashes_single_thread() {
         install_quiet_crash_hook();
-        let (mem, space) = setup(1);
+        let (mem, sim) = setup(1);
         let t = mem.thread(0);
-        let x = space.create(&t, 0).addr();
-        let sim = NormalizedSimulator::new(space, false);
+        let x = sim.space().create(&t, 0).addr();
         let op = NormalizedCounter { x };
-        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+        let mut rt = sim.runtime(&t);
         t.set_crash_policy(CrashPolicy::Random { prob: 0.03, seed: 5 });
         let mut sum_of_olds = 0;
         for _ in 0..200 {
             sum_of_olds += sim.run(&mut rt, &op, &1);
         }
         t.disarm_crashes();
-        assert_eq!(space.read(&t, x), 200, "each add applied exactly once");
+        assert_eq!(sim.space().read(&t, x), 200, "each add applied exactly once");
         // Old values 0..=199 must each be observed exactly once.
         assert_eq!(sum_of_olds, (0..200).sum::<u64>());
     }
@@ -700,18 +699,17 @@ mod tests {
         install_quiet_crash_hook();
         const THREADS: usize = 3;
         const PER_THREAD: u64 = 120;
-        let (mem, space) = setup(THREADS);
+        let (mem, sim) = setup(THREADS);
         let t0 = mem.thread(0);
-        let x = space.create(&t0, 0).addr();
+        let x = sim.space().create(&t0, 0).addr();
         std::thread::scope(|s| {
             for pid in 0..THREADS {
                 let mem = &mem;
-                let space = &space;
+                let sim = &sim;
                 s.spawn(move || {
                     let t = mem.thread(pid);
-                    let sim = NormalizedSimulator::new(*space, false);
                     let op = NormalizedCounter { x };
-                    let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+                    let mut rt = sim.runtime(&t);
                     // Arm crash injection only once the runtime's frame exists (a
                     // crash during set-up is the enclosing program's problem, not
                     // the operation's).
@@ -727,7 +725,7 @@ mod tests {
             }
         });
         assert_eq!(
-            space.read(&mem.thread(0), x),
+            sim.space().read(&mem.thread(0), x),
             THREADS as u64 * PER_THREAD
         );
     }
@@ -740,12 +738,11 @@ mod tests {
         // path of `CapsuleRuntime::run_op` under Algorithm 4.
         install_quiet_crash_hook();
         let run = |plan: Option<pmem::CrashPlan>| -> (u64, u64, u64, u64) {
-            let (mem, space) = setup(1);
+            let (mem, sim) = setup(1);
             let t = mem.thread(0);
-            let x = space.create(&t, 0).addr();
-            let sim = NormalizedSimulator::new(space, false);
+            let x = sim.space().create(&t, 0).addr();
             let op = NormalizedCounter { x };
-            let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+            let mut rt = sim.runtime(&t);
             let _ = t.take_stats();
             if let Some(p) = plan {
                 t.set_crash_schedule(p);
@@ -757,7 +754,7 @@ mod tests {
             let points = t.stats().crash_points;
             t.disarm_crashes();
             let m = rt.metrics();
-            (space.read(&t, x) * 10 + sum_of_olds, points, m.recoveries, m.recovery_crashes)
+            (sim.space().read(&t, x) * 10 + sum_of_olds, points, m.recoveries, m.recovery_crashes)
         };
         let (history, n, _, _) = run(None);
         assert_eq!(history, 33, "3 adds, old values 0+1+2");
@@ -779,32 +776,32 @@ mod tests {
     #[test]
     fn multi_cas_list_executes_each_entry_once_despite_crashes() {
         install_quiet_crash_hook();
-        let (mem, space) = setup(1);
+        let (mem, sim) = setup(1);
         let t = mem.thread(0);
-        let flags: Vec<PAddr> = (0..6).map(|_| space.create(&t, 0).addr()).collect();
-        let sim = NormalizedSimulator::new(space, false);
+        let flags: Vec<PAddr> = (0..6).map(|_| sim.space().create(&t, 0).addr()).collect();
         let op = SetFlags {
             flags: flags.clone(),
         };
-        let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+        let mut rt = sim.runtime(&t);
         t.set_crash_policy(CrashPolicy::Random { prob: 0.08, seed: 21 });
         let set_by_op = sim.run(&mut rt, &op, &());
         t.disarm_crashes();
         assert_eq!(set_by_op, 6, "no other thread competed, all CASes must succeed");
         for f in &flags {
-            assert_eq!(space.read(&t, *f), 1);
+            assert_eq!(sim.space().read(&t, *f), 1);
         }
     }
 
     #[test]
     fn durable_mode_flushes_list_and_targets() {
-        let (mem, space) = setup(1);
+        let mem = PMem::with_threads(1);
         let t = mem.thread(0);
-        let x = space.create(&t, 0).addr();
-        let op = NormalizedCounter { x };
         let run_with = |durable: bool| {
-            let sim = NormalizedSimulator::new(space, durable);
-            let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+            let sim = simulator(&t, 1, durable);
+            let op = NormalizedCounter {
+                x: sim.space().create(&t, 0).addr(),
+            };
+            let mut rt = sim.runtime(&t);
             rt.set_entry_boundary(false);
             let before = t.stats();
             let _ = sim.run(&mut rt, &op, &1);

@@ -16,11 +16,16 @@
 //!   followed by a CAS (§9, §10 "our optimizations include…").
 //!
 //! Durability in the shared-cache model comes from [`Durability::Manual`] flushes
-//! (Figure 6) or from the Izraelevitz thread option (Figure 5).
+//! (Figure 6) or from the Izraelevitz thread option (Figure 5). The queue holds a
+//! [`CasReadSimulator`], which owns the recoverable-CAS space, the handles' runtimes
+//! and both persist rules.
 
-use capsules::{adaptive_enabled, recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure};
+use capsules::{
+    adaptive_enabled, recover_fast, BoundaryStyle, CapsuleRuntime, CapsuleStep, ContentionMeasure,
+};
+use delayfree::CasReadSimulator;
 use pmem::{PAddr, PThread};
-use rcas::{RcasLayout, RcasSpace};
+use rcas::RcasLayout;
 
 use crate::api::{Durability, QueueHandle};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
@@ -55,9 +60,7 @@ const F_DEQ: u32 = 15;
 pub struct GeneralQueue {
     head: PAddr,
     tail: PAddr,
-    space: RcasSpace,
-    durability: Durability,
-    style: BoundaryStyle,
+    sim: CasReadSimulator,
     /// Whether handles try the contention-adaptive fast path (`DF_ADAPTIVE`).
     adaptive: bool,
     /// Contention-policy template copied into every handle's runtime.
@@ -72,19 +75,16 @@ impl GeneralQueue {
         durability: Durability,
         style: BoundaryStyle,
     ) -> GeneralQueue {
-        // Under manual durability the recoverable-CAS layer itself must follow
-        // the flush discipline (announcement lines durable before every
-        // publishing CAS) — `persist_line` after the CAS is not enough once
-        // full-system crashes can roll back unflushed announcement state.
-        let space =
-            RcasSpace::new(thread, nprocs, RcasLayout::DEFAULT).with_durability(durability.manual());
+        let manual = durability.manual();
+        let sim = CasReadSimulator::new(thread, nprocs, RcasLayout::DEFAULT, manual, style);
+        let space = sim.space();
         let sentinel = thread.alloc(NODE_WORDS);
         space.init_word(thread, next_addr(sentinel), 0);
         let head = thread.alloc(1);
         let tail = thread.alloc(1);
         space.init_word(thread, head, sentinel.to_raw());
         space.init_word(thread, tail, sentinel.to_raw());
-        if durability.manual() {
+        if manual {
             thread.persist(sentinel);
             thread.persist(head);
             thread.persist(tail);
@@ -92,9 +92,7 @@ impl GeneralQueue {
         GeneralQueue {
             head,
             tail,
-            space,
-            durability,
-            style,
+            sim,
             adaptive: adaptive_enabled(),
             contention: ContentionMeasure::new(),
         }
@@ -120,21 +118,9 @@ impl GeneralQueue {
         self.adaptive
     }
 
-    /// The recoverable-CAS space used by this queue.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    /// Whether this is the hand-optimised (`-Opt`) configuration.
-    pub fn optimised(&self) -> bool {
-        self.style == BoundaryStyle::Compact
-    }
-
     /// Create the calling thread's handle (allocating its capsule frame).
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> GeneralQueueHandle<'q, 't, 'm> {
-        let mut rt = CapsuleRuntime::new(thread, self.style, GENERAL_LOCALS);
-        rt.set_contention(self.contention);
-        GeneralQueueHandle { queue: self, rt }
+        self.handle_on(self.sim.runtime(thread, GENERAL_LOCALS))
     }
 
     /// Re-attach a handle after a restart, resuming from the process's restart
@@ -145,7 +131,13 @@ impl GeneralQueue {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> GeneralQueueHandle<'q, 't, 'm> {
-        let mut rt = CapsuleRuntime::attach_from_restart_pointer(thread, self.style, GENERAL_LOCALS);
+        self.handle_on(self.sim.attach(thread, GENERAL_LOCALS))
+    }
+
+    fn handle_on<'q, 't, 'm>(
+        &'q self,
+        mut rt: CapsuleRuntime<'t, 'm>,
+    ) -> GeneralQueueHandle<'q, 't, 'm> {
         rt.set_contention(self.contention);
         GeneralQueueHandle { queue: self, rt }
     }
@@ -153,9 +145,10 @@ impl GeneralQueue {
     /// Count elements reachable from the head (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
         let mut count = 0;
-        let mut node = PAddr::from_raw(self.space.read(thread, self.head));
+        let space = self.sim.space();
+        let mut node = PAddr::from_raw(space.read(thread, self.head));
         loop {
-            let next = PAddr::from_raw(self.space.read(thread, next_addr(node)));
+            let next = PAddr::from_raw(space.read(thread, next_addr(node)));
             if next.is_null() {
                 break;
             }
@@ -168,38 +161,6 @@ impl GeneralQueue {
     /// Whether the queue is empty (same caveats as [`len`](Self::len)).
     pub fn is_empty(&self, thread: &PThread<'_>) -> bool {
         self.len(thread) == 0
-    }
-
-    /// Flush + (unless optimised away) fence a line, per the manual-durability
-    /// discipline.
-    fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.durability.manual() {
-            return;
-        }
-        thread.flush(addr);
-        // The -Opt variants omit fences that are immediately followed by a CAS:
-        // the lock prefix orders the pending flush just like the fence would
-        // (Px86). A capsule *boundary* does not qualify — see
-        // [`persist_line_before_boundary`](Self::persist_line_before_boundary).
-        if !self.optimised() {
-            thread.fence();
-        }
-    }
-
-    /// Flush + fence a line unconditionally (under the manual discipline): for
-    /// persists whose next publication is a capsule boundary rather than a CAS.
-    /// The compact boundary publishes its control word with a release *store* —
-    /// a plain `mov` on x86, which (unlike a locked CAS) does not order earlier
-    /// `clflushopt`s — so a crash between the boundary's own flush and its
-    /// trailing fence could persist the frame without the node it references.
-    /// Recovery would then resume from the boundary and link a node whose
-    /// contents never became durable.
-    fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.durability.manual() {
-            return;
-        }
-        thread.flush(addr);
-        thread.fence();
     }
 }
 
@@ -233,39 +194,10 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
         }
     }
 
-    /// Fast-path crash triage shared by both operations: returns `Some(evidence)`
-    /// when the crash interrupted *this* operation's evidence-carrying CAS and
-    /// that CAS took effect (the operation is complete); `None` means no durable
-    /// effect escaped and the fast loop may simply retry. Either way the
-    /// runtime's sequence number is raised past every announced attempt so no
-    /// sequence number is ever reused.
-    fn recover_fast(
-        rt: &mut CapsuleRuntime<'_, '_>,
-        space: &RcasSpace,
-    ) -> Option<rcas::CasEvidence> {
-        let t = rt.thread();
-        // Honour the sharding contract: a recovering process re-runs the notify
-        // step for its own announcement group before consulting its own state.
-        let _ = space.help_group(t);
-        let ann = space.announcement(t);
-        if ann.seq <= rt.seq() {
-            return None; // crash hit before this op announced anything
-        }
-        rt.sync_seq(ann.seq);
-        let ev = space.evidence(t)?;
-        if ev.result.seq != ann.seq {
-            return None;
-        }
-        if space.recover(t, ev.x).flag {
-            Some(ev)
-        } else {
-            None // announced but the CAS never took durable effect: retry
-        }
-    }
-
     fn enqueue_impl(&mut self, value: u64) {
         let queue = self.queue;
-        let space = queue.space;
+        let sim = queue.sim;
+        let space = sim.space();
         self.rt.set_local(L_VAL, value);
         let entry = self.entry_pc(F_ENQ, E_START);
         self.rt.run_op(entry, |rt| {
@@ -276,13 +208,13 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                 // resolved from the announcement line alone.
                 F_ENQ => {
                     if rt.crashed() {
-                        if let Some(ev) = Self::recover_fast(rt, &space) {
+                        if let Some(ev) = recover_fast(rt, space) {
                             // The link CAS took effect; re-persist its line (the
                             // crash may have interrupted the original flush) and
                             // finish. The tail may lag by one node, which the
                             // Michael–Scott invariant allows (any later
                             // operation helps swing it).
-                            queue.persist_line(rt.thread(), ev.x);
+                            sim.persist(rt.thread(), ev.x);
                             rt.finish_boundary(E_DONE);
                             return CapsuleStep::Done(());
                         }
@@ -292,7 +224,7 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                     let node = t.alloc(NODE_WORDS);
                     t.write(value_addr(node), value);
                     space.init_word(t, next_addr(node), 0);
-                    queue.persist_line(t, node);
+                    sim.persist(t, node);
                     loop {
                         let last = PAddr::from_raw(space.read(t, queue.tail));
                         let next = space.read(t, next_addr(last));
@@ -300,15 +232,15 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                             // Help swing a lagging tail; anonymous CASes are
                             // repeat-safe, so no boundary is needed.
                             let _ = space.cas_anonymous(t, queue.tail, last.to_raw(), next);
-                            queue.persist_line(t, queue.tail);
+                            sim.persist(t, queue.tail);
                             continue;
                         }
                         let seq = rt.advance_seq();
                         if space.cas_with_evidence(t, next_addr(last), 0, node.to_raw(), seq, 0) {
                             rt.contention_mut().record_success();
-                            queue.persist_line(t, next_addr(last));
+                            sim.persist(t, next_addr(last));
                             let _ = space.cas_anonymous(t, queue.tail, last.to_raw(), node.to_raw());
-                            queue.persist_line(t, queue.tail);
+                            sim.persist(t, queue.tail);
                             rt.finish_boundary(E_DONE);
                             return CapsuleStep::Done(());
                         }
@@ -331,7 +263,7 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                     space.init_word(t, next_addr(node), 0);
                     // The E_LINK boundary (not a CAS) publishes the node pointer
                     // next, so the fence cannot be elided here.
-                    queue.persist_line_before_boundary(t, node);
+                    sim.persist_before_boundary(t, node);
                     let last = PAddr::from_raw(space.read(t, queue.tail));
                     let next = space.read(t, next_addr(last));
                     rt.set_local_addr(L_AUX, node);
@@ -348,9 +280,9 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                 E_LINK => {
                     let node = rt.local(L_AUX);
                     let last = rt.local_addr(L_LAST);
-                    let ok = recoverable_cas(rt, &space, next_addr(last), 0, node);
+                    let ok = sim.capsule_cas(rt, next_addr(last), 0, node);
                     if ok {
-                        queue.persist_line(rt.thread(), next_addr(last));
+                        sim.persist(rt.thread(), next_addr(last));
                         rt.boundary(E_SWING);
                     } else {
                         rt.boundary(E_START);
@@ -362,8 +294,8 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                 E_SWING => {
                     let node = rt.local(L_AUX);
                     let last = rt.local(L_LAST);
-                    let _ = recoverable_cas(rt, &space, queue.tail, last, node);
-                    queue.persist_line(rt.thread(), queue.tail);
+                    let _ = sim.capsule_cas(rt, queue.tail, last, node);
+                    sim.persist(rt.thread(), queue.tail);
                     rt.finish_boundary(E_DONE);
                     CapsuleStep::Done(())
                 }
@@ -371,8 +303,8 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                 E_ADVANCE => {
                     let last = rt.local(L_LAST);
                     let next = rt.local(L_NEXT);
-                    let _ = recoverable_cas(rt, &space, queue.tail, last, next);
-                    queue.persist_line(rt.thread(), queue.tail);
+                    let _ = sim.capsule_cas(rt, queue.tail, last, next);
+                    sim.persist(rt.thread(), queue.tail);
                     rt.boundary(E_START);
                     CapsuleStep::Continue
                 }
@@ -385,7 +317,8 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
 
     fn dequeue_impl(&mut self) -> Option<u64> {
         let queue = self.queue;
-        let space = queue.space;
+        let sim = queue.sim;
+        let space = sim.space();
         let entry = self.entry_pc(F_DEQ, D_START);
         self.rt.run_op(entry, |rt| {
             match rt.pc() {
@@ -394,8 +327,8 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                 // evidence's aux word so a post-CAS crash can still report it.
                 F_DEQ => {
                     if rt.crashed() {
-                        if let Some(ev) = Self::recover_fast(rt, &space) {
-                            queue.persist_line(rt.thread(), ev.x);
+                        if let Some(ev) = recover_fast(rt, space) {
+                            sim.persist(rt.thread(), ev.x);
                             let value = ev.aux;
                             rt.set_local(L_VAL, value);
                             rt.finish_boundary(D_DONE_SOME);
@@ -414,7 +347,7 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                             }
                             let _ =
                                 space.cas_anonymous(t, queue.tail, last.to_raw(), next.to_raw());
-                            queue.persist_line(t, queue.tail);
+                            sim.persist(t, queue.tail);
                             continue;
                         }
                         let value = t.read(value_addr(next));
@@ -428,7 +361,7 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                             value,
                         ) {
                             rt.contention_mut().record_success();
-                            queue.persist_line(t, queue.head);
+                            sim.persist(t, queue.head);
                             rt.set_local(L_VAL, value);
                             rt.finish_boundary(D_DONE_SOME);
                             return CapsuleStep::Done(Some(value));
@@ -466,9 +399,9 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                 D_CAS_HEAD => {
                     let first = rt.local(L_AUX);
                     let next = rt.local(L_NEXT);
-                    let ok = recoverable_cas(rt, &space, queue.head, first, next);
+                    let ok = sim.capsule_cas(rt, queue.head, first, next);
                     if ok {
-                        queue.persist_line(rt.thread(), queue.head);
+                        sim.persist(rt.thread(), queue.head);
                         let value = rt.local(L_VAL);
                         rt.finish_boundary(D_DONE_SOME);
                         CapsuleStep::Done(Some(value))
@@ -481,8 +414,8 @@ impl<'q, 't, 'm> GeneralQueueHandle<'q, 't, 'm> {
                 D_ADVANCE => {
                     let last = rt.local(L_LAST);
                     let next = rt.local(L_NEXT);
-                    let _ = recoverable_cas(rt, &space, queue.tail, last, next);
-                    queue.persist_line(rt.thread(), queue.tail);
+                    let _ = sim.capsule_cas(rt, queue.tail, last, next);
+                    sim.persist(rt.thread(), queue.tail);
                     rt.boundary(D_START);
                     CapsuleStep::Continue
                 }

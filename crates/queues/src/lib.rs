@@ -11,7 +11,7 @@
 //! | General | [`GeneralQueue`] (`BoundaryStyle::General`) | Low-Computation-Delay (CAS-Read) simulator, §6 |
 //! | General-Opt | [`GeneralQueue`] (`BoundaryStyle::Compact`, fence elision) | hand-optimised §9 tricks |
 //! | Normalized | [`NormalizedQueue`] (`BoundaryStyle::General`) | Persistent Normalized Simulator, §7 |
-//! | Normalized-Opt | [`NormalizedQueue`] (`BoundaryStyle::Compact`, inline CAS list) | hand-optimised §9 tricks |
+//! | Normalized-Opt | [`NormalizedQueue`] (`BoundaryStyle::Compact`) | hand-optimised §9 tricks |
 //! | LogQueue | [`LogQueue`] | Friedman et al.'s durable, detectable queue (hand-tuned competitor) |
 //! | Romulus queue | `romulus::RomulusQueue` (separate crate) | durable transactional memory competitor |
 //!

@@ -3,9 +3,14 @@
 //! Normalized Simulator of §7 — one capsule boundary per retry-loop iteration.
 //!
 //! * **Normalized** — [`BoundaryStyle::General`] frames.
-//! * **Normalized-Opt** — [`BoundaryStyle::Compact`] frames plus the inline CAS-list
-//!   optimisation ([`NormalizedSimulator::with_inline_lists`]), which is the "reduce
-//!   one flush" hand-optimisation the paper describes for this variant.
+//! * **Normalized-Opt** — [`BoundaryStyle::Compact`] frames, which persist a whole
+//!   boundary with one flush and one fence.
+//!
+//! Both keep the CAS list inside the capsule frame, as Algorithm 4 keeps it as a
+//! persisted local (the MSQ's lists have at most one entry); the variants differ
+//! only in frame style. The queue holds a [`NormalizedSimulator`], which owns the
+//! recoverable-CAS space, the durability flag, the frame style and the handles'
+//! runtimes.
 //!
 //! In the normalized decomposition, the executor only ever CASes `head` and node
 //! `next` fields; the tail pointer is advanced exclusively by helping code inside
@@ -16,14 +21,10 @@
 use capsules::{adaptive_enabled, BoundaryStyle, CapsuleRuntime, ContentionMeasure};
 use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
 use pmem::{PAddr, PThread};
-use rcas::{RcasLayout, RcasSpace};
+use rcas::RcasLayout;
 
 use crate::api::{Durability, QueueHandle};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
-
-/// Number of user locals the handle's capsule runtime needs (the inline-list
-/// optimisation needs the larger figure; using it everywhere keeps handles uniform).
-pub const NORMALIZED_QUEUE_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
 
 /// The shared, persistent part of the normalized queue.
 #[derive(Clone, Copy, Debug)]
@@ -32,36 +33,33 @@ pub struct NormalizedQueue {
     head: PAddr,
     /// Plain word holding the tail node address (only helping code CASes it).
     tail: PAddr,
-    space: RcasSpace,
-    durability: Durability,
-    style: BoundaryStyle,
-    optimised: bool,
-    /// Whether handles try the contention-adaptive fast path (`DF_ADAPTIVE`).
-    adaptive: bool,
+    /// The simulator; its fast path follows `DF_ADAPTIVE` unless overridden.
+    sim: NormalizedSimulator,
     /// Contention-policy template copied into every handle's runtime.
     contention: ContentionMeasure,
 }
 
 impl NormalizedQueue {
     /// Create an empty queue for `nprocs` processes. `optimised` selects the
-    /// Normalized-Opt configuration (compact frames + inline CAS lists).
+    /// Normalized-Opt configuration (compact frames).
     pub fn new(
         thread: &PThread<'_>,
         nprocs: usize,
         durability: Durability,
         optimised: bool,
     ) -> NormalizedQueue {
-        // See GeneralQueue::new: the recoverable-CAS layer follows the durable
-        // flush discipline whenever the queue issues manual flushes.
-        let space =
-            RcasSpace::new(thread, nprocs, RcasLayout::DEFAULT).with_durability(durability.manual());
+        let style = BoundaryStyle::from_optimised(optimised);
+        let manual = durability.manual();
+        let sim = NormalizedSimulator::new(thread, nprocs, RcasLayout::DEFAULT, manual, style)
+            .with_adaptive(adaptive_enabled());
+        let space = sim.space();
         let sentinel = thread.alloc(NODE_WORDS);
         space.init_word(thread, next_addr(sentinel), 0);
         let head = thread.alloc(1);
         let tail = thread.alloc(1);
         space.init_word(thread, head, sentinel.to_raw());
         thread.write(tail, sentinel.to_raw());
-        if durability.manual() {
+        if manual {
             thread.persist(sentinel);
             thread.persist(head);
             thread.persist(tail);
@@ -69,15 +67,7 @@ impl NormalizedQueue {
         NormalizedQueue {
             head,
             tail,
-            space,
-            durability,
-            style: if optimised {
-                BoundaryStyle::Compact
-            } else {
-                BoundaryStyle::General
-            },
-            optimised,
-            adaptive: adaptive_enabled(),
+            sim,
             contention: ContentionMeasure::new(),
         }
     }
@@ -93,33 +83,13 @@ impl NormalizedQueue {
     /// Override the contention-adaptive fast path (tests and the `dfck` sweeper
     /// force it on or off regardless of the `DF_ADAPTIVE` environment knob).
     pub fn with_adaptive(mut self, adaptive: bool) -> NormalizedQueue {
-        self.adaptive = adaptive;
+        self.sim = self.sim.with_adaptive(adaptive);
         self
     }
 
     /// Whether handles of this queue try the contention-adaptive fast path.
     pub fn adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The recoverable-CAS space used by this queue.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    /// Whether this is the Normalized-Opt configuration.
-    pub fn optimised(&self) -> bool {
-        self.optimised
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        // Algorithm 4 persists the CAS list as part of the capsule boundary (it is a
-        // stack-allocated local); the MSQ's lists have at most one entry, so they
-        // always fit inline in the frame. The heap-buffer fallback only exists for
-        // operations with long CAS lists.
-        NormalizedSimulator::new(self.space, self.durability.manual())
-            .with_inline_lists()
-            .with_adaptive(self.adaptive)
+        self.sim.adaptive()
     }
 
     /// Create the calling thread's handle (allocating its capsule frame).
@@ -127,13 +97,7 @@ impl NormalizedQueue {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> NormalizedQueueHandle<'q, 't, 'm> {
-        let mut rt = CapsuleRuntime::new(thread, self.style, NORMALIZED_QUEUE_LOCALS);
-        rt.set_contention(self.contention);
-        NormalizedQueueHandle {
-            queue: self,
-            sim: self.simulator(),
-            rt,
-        }
+        self.handle_on(self.sim.runtime(thread))
     }
 
     /// Re-attach a handle after a restart (resumes from the restart pointer).
@@ -141,22 +105,24 @@ impl NormalizedQueue {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> NormalizedQueueHandle<'q, 't, 'm> {
-        let mut rt =
-            CapsuleRuntime::attach_from_restart_pointer(thread, self.style, NORMALIZED_QUEUE_LOCALS);
+        self.handle_on(self.sim.attach(thread))
+    }
+
+    fn handle_on<'q, 't, 'm>(
+        &'q self,
+        mut rt: CapsuleRuntime<'t, 'm>,
+    ) -> NormalizedQueueHandle<'q, 't, 'm> {
         rt.set_contention(self.contention);
-        NormalizedQueueHandle {
-            queue: self,
-            sim: self.simulator(),
-            rt,
-        }
+        NormalizedQueueHandle { queue: self, rt }
     }
 
     /// Count elements reachable from the head (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
+        let space = self.sim.space();
         let mut count = 0;
-        let mut node = PAddr::from_raw(self.space.read(thread, self.head));
+        let mut node = PAddr::from_raw(space.read(thread, self.head));
         loop {
-            let next = PAddr::from_raw(self.space.read(thread, next_addr(node)));
+            let next = PAddr::from_raw(space.read(thread, next_addr(node)));
             if next.is_null() {
                 break;
             }
@@ -188,13 +154,13 @@ impl NormalizedOp for EnqueueOp {
         // just rebuilds an unpublished node).
         let node = ctx.alloc(NODE_WORDS);
         ctx.write_private(value_addr(node), *value);
-        q.space.init_word(ctx.thread(), next_addr(node), 0);
-        if q.durability.manual() {
+        ctx.space().init_word(ctx.thread(), next_addr(node), 0);
+        if q.sim.durable() {
             ctx.persist(node);
         }
         loop {
             let last = PAddr::from_raw(ctx.read_plain(q.tail));
-            let next = q.space.read(ctx.thread(), next_addr(last));
+            let next = ctx.read(next_addr(last));
             if next != 0 {
                 // Help a lagging tail; the tail is never touched by an executor, so
                 // a plain CAS suffices (and repetitions are harmless).
@@ -217,7 +183,7 @@ impl NormalizedOp for EnqueueOp {
             let last = cas_list[0].aux;
             let node = cas_list[0].new;
             let _ = ctx.plain_cas(q.tail, last, node);
-            if q.durability.manual() {
+            if q.sim.durable() {
                 ctx.persist(q.tail);
             }
             WrapUp::Done(())
@@ -240,9 +206,9 @@ impl NormalizedOp for DequeueOp {
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, _input: &()) -> CasList {
         let q = &self.queue;
         loop {
-            let first = PAddr::from_raw(q.space.read(ctx.thread(), q.head));
+            let first = PAddr::from_raw(ctx.read(q.head));
             let last = PAddr::from_raw(ctx.read_plain(q.tail));
-            let next = PAddr::from_raw(q.space.read(ctx.thread(), next_addr(first)));
+            let next = PAddr::from_raw(ctx.read(next_addr(first)));
             if first == last {
                 if next.is_null() {
                     return Vec::new(); // empty queue: nothing to CAS
@@ -278,7 +244,6 @@ impl NormalizedOp for DequeueOp {
 /// Per-thread handle for the normalized queue.
 pub struct NormalizedQueueHandle<'q, 't, 'm> {
     queue: &'q NormalizedQueue,
-    sim: NormalizedSimulator,
     rt: CapsuleRuntime<'t, 'm>,
 }
 
@@ -297,12 +262,12 @@ impl<'q, 't, 'm> NormalizedQueueHandle<'q, 't, 'm> {
 impl QueueHandle for NormalizedQueueHandle<'_, '_, '_> {
     fn enqueue(&mut self, value: u64) {
         let op = EnqueueOp { queue: *self.queue };
-        self.sim.run(&mut self.rt, &op, &value)
+        self.queue.sim.run(&mut self.rt, &op, &value)
     }
 
     fn dequeue(&mut self) -> Option<u64> {
         let op = DequeueOp { queue: *self.queue };
-        self.sim.run(&mut self.rt, &op, &())
+        self.queue.sim.run(&mut self.rt, &op, &())
     }
 }
 

@@ -192,6 +192,7 @@ impl RcasSpace {
     }
 
     /// Whether the durable-announcement flush discipline is enabled.
+    #[inline]
     pub fn durable(&self) -> bool {
         self.durable
     }

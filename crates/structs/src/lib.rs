@@ -42,11 +42,12 @@ pub mod set_normalized;
 pub mod stack;
 pub mod stack_general;
 pub mod stack_normalized;
+mod word_mem;
 
 pub use api::{StructHandle, StructOp};
 pub use map::{map_bucket_of, map_mix64, DetMap, DetMapHandle, MapConfig, MAP_RCAS_LAYOUT};
 pub use map_general::{GeneralDetMap, GeneralDetMapHandle, MAP_GENERAL_LOCALS};
-pub use map_normalized::{NormalizedDetMap, NormalizedDetMapHandle, MAP_NORMALIZED_LOCALS};
+pub use map_normalized::{NormalizedDetMap, NormalizedDetMapHandle};
 pub use set::{ListSet, ListSetHandle};
 pub use set_general::{GeneralSet, GeneralSetHandle, Resumption};
 pub use set_normalized::{NormalizedSet, NormalizedSetHandle};

@@ -4,7 +4,7 @@
 //! constructions (the plain/Izraelevitz [`DetMap`] lives here too; the
 //! General and Normalized variants in [`map_general`](crate::map_general) and
 //! [`map_normalized`](crate::map_normalized) reuse the same routines through
-//! the [`MapMem`] word-access abstraction).
+//! the [`WordMem`] word-access seam).
 //!
 //! ## Layout
 //!
@@ -65,10 +65,11 @@
 //! to repeat from any crash point.
 
 use pmem::{PAddr, PThread, LINE_WORDS};
-use rcas::{RcasLayout, RcasSpace};
+use rcas::RcasLayout;
 
 use crate::api::{bool_ret, Drain, StructHandle, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
+use crate::word_mem::{PlainMem, WordMem};
 
 /// The recoverable-CAS packing used by the detectable map variants: the
 /// two-bit mark pushes encodings to `index << 2`, and the million-key
@@ -165,98 +166,6 @@ impl Default for MapConfig {
     }
 }
 
-/// The word-access seam between the shared protocol and the three
-/// constructions: plain words (Izraelevitz), an [`RcasSpace`] (General), or a
-/// normalized-simulator ctx. `help_cas` is always the *anonymous*,
-/// repetition-safe CAS of the construction; the linearizing CASes never go
-/// through this trait.
-pub(crate) trait MapMem {
-    /// Read a formatted word's application value.
-    fn read(&mut self, addr: PAddr) -> u64;
-    /// Read a plain (unformatted) word: node keys, `nbuckets`.
-    fn read_plain(&mut self, addr: PAddr) -> u64;
-    /// Value-level helping CAS (anonymous in the detectable constructions).
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool;
-    /// Format a fresh word to hold `value`.
-    fn init_word(&mut self, addr: PAddr, value: u64);
-    /// Plain store into a word nobody shares yet.
-    fn write_plain(&mut self, addr: PAddr, value: u64);
-    /// Bump-allocate `nwords` persistent words.
-    fn alloc(&mut self, nwords: u64) -> PAddr;
-    /// Flush the line holding `addr` (no fence) under the manual discipline.
-    fn flush_line(&mut self, addr: PAddr);
-    /// Ordering fence under the manual discipline.
-    fn fence(&mut self);
-}
-
-/// Plain-word accessor: the Izraelevitz construction (durability comes from
-/// the thread option's auto-flushing, so the manual hooks are no-ops).
-pub(crate) struct PlainMem<'t, 'm> {
-    pub t: &'t PThread<'m>,
-}
-
-impl MapMem for PlainMem<'_, '_> {
-    fn read(&mut self, addr: PAddr) -> u64 {
-        self.t.read(addr)
-    }
-    fn read_plain(&mut self, addr: PAddr) -> u64 {
-        self.t.read(addr)
-    }
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool {
-        self.t.cas(addr, expected, new)
-    }
-    fn init_word(&mut self, addr: PAddr, value: u64) {
-        self.t.write(addr, value)
-    }
-    fn write_plain(&mut self, addr: PAddr, value: u64) {
-        self.t.write(addr, value)
-    }
-    fn alloc(&mut self, nwords: u64) -> PAddr {
-        self.t.alloc(nwords)
-    }
-    fn flush_line(&mut self, _addr: PAddr) {}
-    fn fence(&mut self) {}
-}
-
-/// Recoverable-CAS-space accessor: the General construction (helping CASes
-/// are anonymous; flushes follow the manual discipline).
-pub(crate) struct SpaceMem<'s, 't, 'm> {
-    pub space: &'s RcasSpace,
-    pub t: &'t PThread<'m>,
-    pub manual: bool,
-}
-
-impl MapMem for SpaceMem<'_, '_, '_> {
-    fn read(&mut self, addr: PAddr) -> u64 {
-        self.space.read(self.t, addr)
-    }
-    fn read_plain(&mut self, addr: PAddr) -> u64 {
-        self.t.read(addr)
-    }
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool {
-        self.space.cas_anonymous(self.t, addr, expected, new)
-    }
-    fn init_word(&mut self, addr: PAddr, value: u64) {
-        self.space.init_word(self.t, addr, value)
-    }
-    fn write_plain(&mut self, addr: PAddr, value: u64) {
-        self.t.write(addr, value)
-    }
-    fn alloc(&mut self, nwords: u64) -> PAddr {
-        self.t.alloc(nwords)
-    }
-    fn flush_line(&mut self, addr: PAddr) {
-        if self.manual {
-            self.t.flush(addr);
-        }
-    }
-    fn fence(&mut self) {
-        if self.manual {
-            self.t.fence();
-        }
-    }
-}
-
 fn gen_head(g: PAddr, b: u64) -> PAddr {
     g.offset(G_HEADER + b)
 }
@@ -267,7 +176,7 @@ fn gen_state(g: PAddr, nbuckets: u64, b: u64) -> PAddr {
 
 /// Allocate and format a generation of `nbuckets`, fully persisted before the
 /// caller may publish it.
-pub(crate) fn alloc_gen<M: MapMem>(m: &mut M, nbuckets: u64) -> PAddr {
+pub(crate) fn alloc_gen<M: WordMem>(m: &mut M, nbuckets: u64) -> PAddr {
     let words = G_HEADER + 2 * nbuckets;
     let g = m.alloc(words);
     m.write_plain(g.offset(G_NBUCKETS), nbuckets);
@@ -347,7 +256,7 @@ impl ChainLen {
 /// so the CAS target is always a clean word and an insert lands in front of
 /// whatever tombstone run follows the predecessor. The live-key subsequence
 /// stays sorted; the returned [`ChainLen`] is the resize trigger's measure.
-pub(crate) fn find_in<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> (FindRes, ChainLen) {
+pub(crate) fn find_in<M: WordMem>(m: &mut M, head: PAddr, k: u64) -> (FindRes, ChainLen) {
     let mut len = ChainLen::default();
     let mut pred_addr = head;
     let mut pred_enc = m.read(head);
@@ -398,7 +307,7 @@ pub(crate) fn find_in<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> (FindRes, Ch
 /// live node is still a member (the old bucket stays the authority for reads
 /// until its state turns `DONE`, and the read-only route below guarantees
 /// the freeze happened inside the operation's interval).
-pub(crate) fn contains_at<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> bool {
+pub(crate) fn contains_at<M: WordMem>(m: &mut M, head: PAddr, k: u64) -> bool {
     let mut node = menc_addr(m.read(head));
     while !node.is_null() {
         let ne = m.read(next_addr(node));
@@ -424,7 +333,7 @@ pub(crate) fn contains_at<M: MapMem>(m: &mut M, head: PAddr, k: u64) -> bool {
 /// freeze mark in the target means the *next* resize already promoted — then
 /// every old bucket is `DONE` and `k`'s fate was settled by whoever got
 /// there first, so the copier stands down rather than spin on frozen words.
-pub(crate) fn copy_insert<M: MapMem>(m: &mut M, n: PAddr, n_nbuckets: u64, k: u64) {
+pub(crate) fn copy_insert<M: WordMem>(m: &mut M, n: PAddr, n_nbuckets: u64, k: u64) {
     let head = gen_head(n, map_bucket_of(k, n_nbuckets));
     loop {
         let he = m.read(head);
@@ -473,7 +382,7 @@ pub(crate) fn copy_insert<M: MapMem>(m: &mut M, n: PAddr, n_nbuckets: u64, k: u6
 /// Migrate old bucket `b` of generation `g` into `n`: freeze, copy, `DONE`.
 /// Every step is helping-class — safe to repeat from any crash point, safe to
 /// run concurrently with other migrators of the same bucket.
-pub(crate) fn migrate_bucket<M: MapMem>(
+pub(crate) fn migrate_bucket<M: WordMem>(
     m: &mut M,
     g: PAddr,
     nbuckets: u64,
@@ -539,7 +448,7 @@ pub(crate) fn migrate_bucket<M: MapMem>(
 /// cursor and promote the directory once the cursor clears the bucket count.
 /// The cursor only ever advances past `DONE` buckets, so promotion at
 /// `cursor == nbuckets` proves every bucket migrated.
-fn advance_cursor<M: MapMem>(
+fn advance_cursor<M: WordMem>(
     m: &mut M,
     dir: PAddr,
     g: PAddr,
@@ -569,7 +478,7 @@ fn advance_cursor<M: MapMem>(
 /// flight, migrate the key's own old bucket, help the cursor along, and
 /// descend to the successor generation — repeating down the chain until a
 /// generation with no successor owns the key.
-pub(crate) fn route_update<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
+pub(crate) fn route_update<M: WordMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
     let mut g = PAddr::from_raw(m.read(dir));
     loop {
         let nbuckets = m.read_plain(g.offset(G_NBUCKETS));
@@ -592,7 +501,7 @@ pub(crate) fn route_update<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
 /// non-`DONE` bucket's membership cannot change between its freeze and the
 /// first post-`DONE` operation in the successor, and that window provably
 /// overlaps the reader's interval.
-pub(crate) fn route_read<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
+pub(crate) fn route_read<M: WordMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
     let mut g = PAddr::from_raw(m.read(dir));
     loop {
         let nbuckets = m.read_plain(g.offset(G_NBUCKETS));
@@ -616,7 +525,7 @@ pub(crate) fn route_read<M: MapMem>(m: &mut M, dir: PAddr, k: u64) -> PAddr {
 /// doubling forever. Helping-class throughout (a crash replay re-runs it
 /// harmlessly; a lost publish CAS just leaks the loser's allocation into the
 /// bump arena).
-pub(crate) fn maybe_grow<M: MapMem>(m: &mut M, dir: PAddr, observed: ChainLen, max_chain: usize) {
+pub(crate) fn maybe_grow<M: WordMem>(m: &mut M, dir: PAddr, observed: ChainLen, max_chain: usize) {
     if observed.total <= max_chain {
         return;
     }
@@ -647,7 +556,7 @@ pub(crate) fn maybe_grow<M: MapMem>(m: &mut M, dir: PAddr, observed: ChainLen, m
 /// mid-resize map legitimately holds originals plus copies, so a global
 /// budget would spuriously truncate), and `truncated` aggregates across
 /// buckets: one cyclic bucket among healthy ones must fail the whole drain.
-pub(crate) fn drain_map<M: MapMem>(m: &mut M, dir: PAddr, max: usize) -> Drain {
+pub(crate) fn drain_map<M: WordMem>(m: &mut M, dir: PAddr, max: usize) -> Drain {
     let mut keys = std::collections::BTreeSet::new();
     let mut truncated = false;
     let mut g = PAddr::from_raw(m.read(dir));
@@ -684,7 +593,7 @@ pub(crate) fn drain_map<M: MapMem>(m: &mut M, dir: PAddr, max: usize) -> Drain {
 }
 
 /// Live-key count (diagnostic; not linearizable).
-pub(crate) fn map_len<M: MapMem>(m: &mut M, dir: PAddr) -> usize {
+pub(crate) fn map_len<M: WordMem>(m: &mut M, dir: PAddr) -> usize {
     drain_map(m, dir, usize::MAX).items.len()
 }
 

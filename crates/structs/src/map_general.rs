@@ -3,8 +3,8 @@
 //!
 //! Only two CASes in the whole protocol are linearization points that need
 //! exactly-once recovery — the insert's link and the remove's tombstone mark —
-//! and only those head CAS-Read capsules with [`recoverable_cas`]. Everything
-//! else the map does under the hood (routing, bucket freezes, copy inserts,
+//! and only those head CAS-Read capsules with the simulator's recoverable CAS.
+//! Everything else the map does under the hood (routing, bucket freezes, copy inserts,
 //! cursor/`next`/state/directory installs — the entire resize machinery) is
 //! parallelizable helping, executed with the *anonymous* CAS inside the search
 //! capsule exactly as §7 prescribes for generator/wrap-up CASes: repetition
@@ -19,16 +19,17 @@
 //! are final) and the retry pc re-routes through the migration. Crash-safety
 //! of the resize itself needs no capsule help.
 
-use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use delayfree::CasReadSimulator;
 use pmem::{PAddr, PThread};
-use rcas::RcasSpace;
 
 use crate::api::{bool_ret, Drain, StructHandle, StructOp};
 use crate::map::{
     alloc_gen, contains_at, drain_map, find_in, map_len, maybe_grow, menc, route_read,
-    route_update, ChainLen, FindRes, MapConfig, SpaceMem, DEL, MAP_RCAS_LAYOUT,
+    route_update, ChainLen, FindRes, MapConfig, DEL, MAP_RCAS_LAYOUT,
 };
 use crate::node::{next_addr, value_addr, NODE_WORDS};
+use crate::word_mem::SpaceMem;
 
 // Persisted local slots (user indices).
 const L_KEY: usize = 0;
@@ -60,9 +61,7 @@ const C_DONE: u32 = 21;
 pub struct GeneralDetMap {
     dir: PAddr,
     cfg: MapConfig,
-    space: RcasSpace,
-    manual: bool,
-    style: BoundaryStyle,
+    sim: CasReadSimulator,
 }
 
 impl GeneralDetMap {
@@ -77,71 +76,31 @@ impl GeneralDetMap {
         manual: bool,
         style: BoundaryStyle,
     ) -> GeneralDetMap {
-        let space = RcasSpace::new(thread, nprocs, MAP_RCAS_LAYOUT).with_durability(manual);
-        let g = {
-            let mut m = SpaceMem {
-                space: &space,
-                t: thread,
-                manual,
-            };
-            alloc_gen(&mut m, cfg.initial_buckets)
-        };
+        let sim = CasReadSimulator::new(thread, nprocs, MAP_RCAS_LAYOUT, manual, style);
+        let space = sim.space();
+        let g = alloc_gen(&mut SpaceMem::new(space, thread), cfg.initial_buckets);
         let dir = thread.alloc(1);
         space.init_word(thread, dir, g.to_raw());
         if manual {
             thread.persist(dir);
         }
-        GeneralDetMap {
-            dir,
-            cfg,
-            space,
-            manual,
-            style,
-        }
-    }
-
-    /// The recoverable-CAS space used by this map.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
+        GeneralDetMap { dir, cfg, sim }
     }
 
     /// Create the calling thread's handle (allocating its capsule frame).
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> GeneralDetMapHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style, MAP_GENERAL_LOCALS);
+        let rt = self.sim.runtime(thread, MAP_GENERAL_LOCALS);
         GeneralDetMapHandle { map: self, rt }
+    }
+
+    /// Word access through the simulator's space (anonymous helping CASes).
+    fn mem<'s, 't, 'm>(&'s self, t: &'t PThread<'m>) -> SpaceMem<'s, 't, 'm> {
+        SpaceMem::new(self.sim.space(), t)
     }
 
     /// Live-key count (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut m = SpaceMem {
-            space: &self.space,
-            t: thread,
-            manual: self.manual,
-        };
-        map_len(&mut m, self.dir)
-    }
-
-    /// Flush + fence a line, per the manual-durability discipline (the compact
-    /// style elides the fence before a CAS: the lock prefix orders the flush).
-    fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        if self.style != BoundaryStyle::Compact {
-            thread.fence();
-        }
-    }
-
-    /// Flush + fence unconditionally: for persists followed by a capsule
-    /// boundary, whose release-store control write (unlike a locked CAS) does
-    /// not order earlier flushes — the frame could persist without the node.
-    fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        thread.fence();
+        map_len(&mut self.mem(thread), self.dir)
     }
 
     // ----- capsule bodies --------------------------------------------------------
@@ -155,11 +114,7 @@ impl GeneralDetMap {
             I_FIND => {
                 let k = rt.local(L_KEY);
                 let t = rt.thread();
-                let mut m = SpaceMem {
-                    space: &self.space,
-                    t,
-                    manual: self.manual,
-                };
+                let mut m = self.mem(t);
                 let (w, len) = loop {
                     let head = route_update(&mut m, self.dir, k);
                     match find_in(&mut m, head, k) {
@@ -173,10 +128,10 @@ impl GeneralDetMap {
                 }
                 let node = t.alloc(NODE_WORDS);
                 t.write(value_addr(node), k);
-                self.space.init_word(t, next_addr(node), w.pred_enc);
+                self.sim.space().init_word(t, next_addr(node), w.pred_enc);
                 // The I_CAS boundary (not a CAS) publishes the node pointer
                 // next, so the fence cannot be elided here.
-                self.persist_line_before_boundary(t, node);
+                self.sim.persist_before_boundary(t, node);
                 rt.set_local_addr(L_PRED_ADDR, w.pred_addr);
                 rt.set_local(L_PRED_ENC, w.pred_enc);
                 rt.set_local_addr(L_NODE, node);
@@ -190,18 +145,13 @@ impl GeneralDetMap {
                 let expected = rt.local(L_PRED_ENC);
                 let node = rt.local_addr(L_NODE);
                 let len = ChainLen::unpack(rt.local(L_LEN));
-                let ok = recoverable_cas(rt, &self.space, pred_addr, expected, menc(node, 0));
+                let ok = self.sim.capsule_cas(rt, pred_addr, expected, menc(node, 0));
                 if ok {
                     let t = rt.thread();
-                    self.persist_line(t, pred_addr);
+                    self.sim.persist(t, pred_addr);
                     // Helping-class grow trigger: repetition-safe, so a crash
                     // replay of this capsule re-running it is harmless.
-                    let mut m = SpaceMem {
-                        space: &self.space,
-                        t,
-                        manual: self.manual,
-                    };
-                    maybe_grow(&mut m, self.dir, len.plus_inserted(), self.cfg.max_chain);
+                    maybe_grow(&mut self.mem(t), self.dir, len.plus_inserted(), self.cfg.max_chain);
                     rt.finish_boundary(I_DONE_TRUE);
                     CapsuleStep::Done(true)
                 } else {
@@ -222,12 +172,7 @@ impl GeneralDetMap {
         match rt.pc() {
             R_FIND => {
                 let k = rt.local(L_KEY);
-                let t = rt.thread();
-                let mut m = SpaceMem {
-                    space: &self.space,
-                    t,
-                    manual: self.manual,
-                };
+                let mut m = self.mem(rt.thread());
                 let w = loop {
                     let head = route_update(&mut m, self.dir, k);
                     match find_in(&mut m, head, k) {
@@ -248,9 +193,9 @@ impl GeneralDetMap {
             R_MARK => {
                 let curr_next = rt.local_addr(L_CURR_NEXT);
                 let curr_enc = rt.local(L_CURR_ENC);
-                let ok = recoverable_cas(rt, &self.space, curr_next, curr_enc, curr_enc | DEL);
+                let ok = self.sim.capsule_cas(rt, curr_next, curr_enc, curr_enc | DEL);
                 if ok {
-                    self.persist_line(rt.thread(), curr_next);
+                    self.sim.persist(rt.thread(), curr_next);
                     rt.finish_boundary(R_DONE_TRUE);
                     CapsuleStep::Done(true)
                 } else {
@@ -270,11 +215,7 @@ impl GeneralDetMap {
         match rt.pc() {
             C_FIND => {
                 let k = rt.local(L_KEY);
-                let mut m = SpaceMem {
-                    space: &self.space,
-                    t: rt.thread(),
-                    manual: self.manual,
-                };
+                let mut m = self.mem(rt.thread());
                 let head = route_read(&mut m, self.dir, k);
                 let found = contains_at(&mut m, head, k);
                 rt.set_local(L_CURR_ENC, found as u64);
@@ -337,13 +278,7 @@ impl StructHandle for GeneralDetMapHandle<'_, '_, '_> {
     }
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
-        let map = self.map;
-        let mut m = SpaceMem {
-            space: &map.space,
-            t: self.rt.thread(),
-            manual: map.manual,
-        };
-        drain_map(&mut m, map.dir, max)
+        drain_map(&mut self.map.mem(self.rt.thread()), self.map.dir, max)
     }
 }
 

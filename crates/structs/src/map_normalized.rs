@@ -10,8 +10,8 @@
 //!   and searches the bucket;
 //! * the **executor** performs the operation's single linearizing CAS — the
 //!   window link for an insert, the tombstone mark for a remove — with the
-//!   recoverable CAS; always a one-entry list, so the inline-list optimisation
-//!   applies;
+//!   recoverable CAS; always a one-entry list, which rides in the capsule
+//!   frame;
 //! * the **wrap-up** reports the result; a successful insert's wrap-up also
 //!   runs the resize trigger (helping again — repetition-safe).
 //!
@@ -24,66 +24,21 @@
 use capsules::{BoundaryStyle, CapsuleRuntime};
 use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
 use pmem::{PAddr, PThread};
-use rcas::RcasSpace;
 
 use crate::api::{bool_ret, Drain, StructHandle, StructOp};
 use crate::map::{
     alloc_gen, contains_at, drain_map, find_in, map_len, maybe_grow, menc, route_read,
-    route_update, ChainLen, FindRes, MapConfig, MapMem, MapWindow, SpaceMem, DEL, MAP_RCAS_LAYOUT,
+    route_update, ChainLen, FindRes, MapConfig, MapWindow, DEL, MAP_RCAS_LAYOUT,
 };
 use crate::node::{next_addr, value_addr, NODE_WORDS};
-
-/// Number of user locals the handle's capsule runtime needs (inline CAS lists:
-/// every map operation proposes at most one CAS).
-pub const MAP_NORMALIZED_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
-
-/// Normalized-simulator accessor for the shared map protocol: reads, plain
-/// writes and allocation go through the ctx (so they are accounted to the
-/// simulated method), helping CASes use the ctx's anonymous CAS.
-struct CtxMem<'a, 'c, 't, 'm> {
-    ctx: &'a mut NormalizedCtx<'c, 't, 'm>,
-    manual: bool,
-}
-
-impl MapMem for CtxMem<'_, '_, '_, '_> {
-    fn read(&mut self, addr: PAddr) -> u64 {
-        self.ctx.read(addr)
-    }
-    fn read_plain(&mut self, addr: PAddr) -> u64 {
-        self.ctx.read_plain(addr)
-    }
-    fn help_cas(&mut self, addr: PAddr, expected: u64, new: u64) -> bool {
-        self.ctx.helping_cas(addr, expected, new)
-    }
-    fn init_word(&mut self, addr: PAddr, value: u64) {
-        self.ctx.space().init_word(self.ctx.thread(), addr, value)
-    }
-    fn write_plain(&mut self, addr: PAddr, value: u64) {
-        self.ctx.write_private(addr, value)
-    }
-    fn alloc(&mut self, nwords: u64) -> PAddr {
-        self.ctx.alloc(nwords)
-    }
-    fn flush_line(&mut self, addr: PAddr) {
-        if self.manual {
-            self.ctx.thread().flush(addr);
-        }
-    }
-    fn fence(&mut self) {
-        if self.manual {
-            self.ctx.thread().fence();
-        }
-    }
-}
+use crate::word_mem::{CtxMem, SpaceMem};
 
 /// The shared, persistent part of the normalized map.
 #[derive(Clone, Copy, Debug)]
 pub struct NormalizedDetMap {
     dir: PAddr,
     cfg: MapConfig,
-    space: RcasSpace,
-    manual: bool,
-    optimised: bool,
+    sim: NormalizedSimulator,
 }
 
 impl NormalizedDetMap {
@@ -96,44 +51,16 @@ impl NormalizedDetMap {
         manual: bool,
         optimised: bool,
     ) -> NormalizedDetMap {
-        let space = RcasSpace::new(thread, nprocs, MAP_RCAS_LAYOUT).with_durability(manual);
-        let g = {
-            let mut m = SpaceMem {
-                space: &space,
-                t: thread,
-                manual,
-            };
-            alloc_gen(&mut m, cfg.initial_buckets)
-        };
+        let style = BoundaryStyle::from_optimised(optimised);
+        let sim = NormalizedSimulator::new(thread, nprocs, MAP_RCAS_LAYOUT, manual, style);
+        let space = sim.space();
+        let g = alloc_gen(&mut SpaceMem::new(space, thread), cfg.initial_buckets);
         let dir = thread.alloc(1);
         space.init_word(thread, dir, g.to_raw());
         if manual {
             thread.persist(dir);
         }
-        NormalizedDetMap {
-            dir,
-            cfg,
-            space,
-            manual,
-            optimised,
-        }
-    }
-
-    /// The recoverable-CAS space used by this map.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    fn style(&self) -> BoundaryStyle {
-        if self.optimised {
-            BoundaryStyle::Compact
-        } else {
-            BoundaryStyle::General
-        }
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        NormalizedSimulator::new(self.space, self.manual).with_inline_lists()
+        NormalizedDetMap { dir, cfg, sim }
     }
 
     /// Create the calling thread's handle (allocating its capsule frame).
@@ -141,31 +68,19 @@ impl NormalizedDetMap {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> NormalizedDetMapHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style(), MAP_NORMALIZED_LOCALS);
-        NormalizedDetMapHandle {
-            map: self,
-            sim: self.simulator(),
-            rt,
-        }
+        let rt = self.sim.runtime(thread);
+        NormalizedDetMapHandle { map: self, rt }
     }
 
     /// Live-key count (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut m = SpaceMem {
-            space: &self.space,
-            t: thread,
-            manual: self.manual,
-        };
-        map_len(&mut m, self.dir)
+        map_len(&mut SpaceMem::new(self.sim.space(), thread), self.dir)
     }
 
     /// Routed search inside a parallelizable method: migration helping plus
     /// the tombstone-skipping window search, retried past freezes.
     fn find(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: u64) -> (MapWindow, ChainLen) {
-        let mut m = CtxMem {
-            ctx,
-            manual: self.manual,
-        };
+        let mut m = CtxMem { ctx };
         loop {
             let head = route_update(&mut m, self.dir, k);
             match find_in(&mut m, head, k) {
@@ -195,8 +110,8 @@ impl NormalizedOp for MapInsertOp {
         }
         let node = ctx.alloc(NODE_WORDS);
         ctx.write_private(value_addr(node), *k);
-        m.space.init_word(ctx.thread(), next_addr(node), w.pred_enc);
-        if m.manual {
+        ctx.space().init_word(ctx.thread(), next_addr(node), w.pred_enc);
+        if m.sim.durable() {
             ctx.persist(node);
         }
         vec![CasDesc::new(w.pred_addr, w.pred_enc, menc(node, 0)).with_aux(len.pack())]
@@ -218,11 +133,7 @@ impl NormalizedOp for MapInsertOp {
         // Resize trigger (helping, repetition-safe): the chain measure rides
         // in the descriptor's aux word.
         let len = ChainLen::unpack(cas_list[0].aux);
-        let mut m = CtxMem {
-            ctx,
-            manual: self.map.manual,
-        };
-        maybe_grow(&mut m, self.map.dir, len.plus_inserted(), self.map.cfg.max_chain);
+        maybe_grow(&mut CtxMem { ctx }, self.map.dir, len.plus_inserted(), self.map.cfg.max_chain);
         WrapUp::Done(true)
     }
 }
@@ -285,10 +196,7 @@ impl NormalizedOp for MapContainsOp {
         _cas_list: &CasList,
         _executed: usize,
     ) -> WrapUp<bool> {
-        let mut m = CtxMem {
-            ctx,
-            manual: self.map.manual,
-        };
+        let mut m = CtxMem { ctx };
         let head = route_read(&mut m, self.map.dir, *k);
         WrapUp::Done(contains_at(&mut m, head, *k))
     }
@@ -297,7 +205,6 @@ impl NormalizedOp for MapContainsOp {
 /// Per-thread handle for the normalized map.
 pub struct NormalizedDetMapHandle<'q, 't, 'm> {
     map: &'q NormalizedDetMap,
-    sim: NormalizedSimulator,
     rt: CapsuleRuntime<'t, 'm>,
 }
 
@@ -315,19 +222,19 @@ impl<'q, 't, 'm> NormalizedDetMapHandle<'q, 't, 'm> {
     /// Insert `k` (detectably); returns whether it was absent.
     pub fn insert(&mut self, k: u64) -> bool {
         let op = MapInsertOp { map: *self.map };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.map.sim.run(&mut self.rt, &op, &k)
     }
 
     /// Remove `k` (detectably); returns whether it was present.
     pub fn remove(&mut self, k: u64) -> bool {
         let op = MapRemoveOp { map: *self.map };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.map.sim.run(&mut self.rt, &op, &k)
     }
 
     /// Membership test (detectably reported).
     pub fn contains(&mut self, k: u64) -> bool {
         let op = MapContainsOp { map: *self.map };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.map.sim.run(&mut self.rt, &op, &k)
     }
 }
 
@@ -343,12 +250,7 @@ impl StructHandle for NormalizedDetMapHandle<'_, '_, '_> {
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
         let map = self.map;
-        let mut m = SpaceMem {
-            space: &map.space,
-            t: self.rt.thread(),
-            manual: map.manual,
-        };
-        drain_map(&mut m, map.dir, max)
+        drain_map(&mut SpaceMem::new(map.sim.space(), self.rt.thread()), map.dir, max)
     }
 }
 

@@ -13,11 +13,16 @@
 //! Plain CASes, no capsules, no flushes: running the operations through a
 //! thread handle with [`pmem::ThreadOptions`]`{ izraelevitz: true }` yields
 //! the durably linearizable (but **not** detectable) Izraelevitz set.
+//!
+//! The search (`find`), the membership walk (`contains_walk`) and the key
+//! count (`count_keys`) are written once against the crate's `WordMem`
+//! word-access seam and shared by all three set constructions.
 
 use pmem::{PAddr, PThread};
 
 use crate::api::{bool_ret, Drain, StructHandle, StructOp};
 use crate::node::{alloc_node, enc, enc_addr, enc_marked, next_addr, snapshot_up_to, value_addr};
+use crate::word_mem::{PlainMem, WordMem};
 
 /// A search window: the word to CAS for an insert/unlink, its expected
 /// encoding, and the first unmarked node with `key >= k` (null at the end of
@@ -29,6 +34,87 @@ pub(crate) struct Window {
     /// `curr`'s next encoding (unmarked) at observation time; 0 when `curr` is null.
     pub curr_enc: u64,
     pub found: bool,
+}
+
+/// Harris–Michael search from the head word `head`: locate the window for `k`,
+/// helping unlink (with the construction's anonymous CAS, flushed under the
+/// manual discipline) every marked node encountered, and restarting from the
+/// head when an unlink loses its race.
+pub(crate) fn find<M: WordMem>(m: &mut M, head: PAddr, k: u64) -> Window {
+    'retry: loop {
+        let mut pred_addr = head;
+        let mut pred_enc = m.read(pred_addr);
+        loop {
+            let curr = enc_addr(pred_enc);
+            if curr.is_null() {
+                return Window {
+                    pred_addr,
+                    pred_enc,
+                    curr,
+                    curr_enc: 0,
+                    found: false,
+                };
+            }
+            let curr_enc = m.read(next_addr(curr));
+            if enc_marked(curr_enc) {
+                // Logically deleted: help unlink, keeping the window adjacent.
+                let unmarked = enc(enc_addr(curr_enc), false);
+                if !m.help_cas(pred_addr, pred_enc, unmarked) {
+                    continue 'retry;
+                }
+                m.flush_line(pred_addr);
+                pred_enc = unmarked;
+                continue;
+            }
+            let ck = m.read_plain(value_addr(curr));
+            if ck >= k {
+                return Window {
+                    pred_addr,
+                    pred_enc,
+                    curr,
+                    curr_enc,
+                    found: ck == k,
+                };
+            }
+            pred_addr = next_addr(curr);
+            pred_enc = curr_enc;
+        }
+    }
+}
+
+/// Membership walk from the head word `head` (read-only: skips marked nodes
+/// without helping).
+pub(crate) fn contains_walk<M: WordMem>(m: &mut M, head: PAddr, k: u64) -> bool {
+    let mut node = enc_addr(m.read(head));
+    while !node.is_null() {
+        let next = m.read(next_addr(node));
+        let ck = m.read_plain(value_addr(node));
+        if !enc_marked(next) {
+            if ck == k {
+                return true;
+            }
+            if ck > k {
+                return false;
+            }
+        }
+        node = enc_addr(next);
+    }
+    false
+}
+
+/// Count the unmarked keys reachable from the head word `head` (diagnostic;
+/// not linearizable).
+pub(crate) fn count_keys<M: WordMem>(m: &mut M, head: PAddr) -> usize {
+    let mut count = 0;
+    let mut node = enc_addr(m.read(head));
+    while !node.is_null() {
+        let next = m.read(next_addr(node));
+        if !enc_marked(next) {
+            count += 1;
+        }
+        node = enc_addr(next);
+    }
+    count
 }
 
 /// The shared, persistent part of the set: one word holding the encoded
@@ -57,62 +143,9 @@ impl ListSet {
         ListSetHandle { set: self, thread }
     }
 
-    /// Harris–Michael search: locate the window for `k`, unlinking every
-    /// marked node encountered (restarting from the head when an unlink loses
-    /// its race).
-    fn find(&self, t: &PThread<'_>, k: u64) -> Window {
-        'retry: loop {
-            let mut pred_addr = self.head;
-            let mut pred_enc = t.read(pred_addr);
-            loop {
-                let curr = enc_addr(pred_enc);
-                if curr.is_null() {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc: 0,
-                        found: false,
-                    };
-                }
-                let curr_enc = t.read(next_addr(curr));
-                if enc_marked(curr_enc) {
-                    // Logically deleted: help unlink, keeping the window adjacent.
-                    let unmarked = enc(enc_addr(curr_enc), false);
-                    if !t.cas(pred_addr, pred_enc, unmarked) {
-                        continue 'retry;
-                    }
-                    pred_enc = unmarked;
-                    continue;
-                }
-                let ck = t.read(value_addr(curr));
-                if ck >= k {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc,
-                        found: ck == k,
-                    };
-                }
-                pred_addr = next_addr(curr);
-                pred_enc = curr_enc;
-            }
-        }
-    }
-
     /// Count the unmarked keys (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = enc_addr(thread.read(self.head));
-        while !node.is_null() {
-            let next = thread.read(next_addr(node));
-            if !enc_marked(next) {
-                count += 1;
-            }
-            node = enc_addr(next);
-        }
-        count
+        count_keys(&mut PlainMem { t: thread }, self.head)
     }
 }
 
@@ -128,7 +161,7 @@ impl ListSetHandle<'_, '_, '_> {
     pub fn insert(&mut self, k: u64) -> bool {
         let t = self.thread;
         loop {
-            let w = self.set.find(t, k);
+            let w = find(&mut PlainMem { t }, self.set.head, k);
             if w.found {
                 return false;
             }
@@ -144,7 +177,7 @@ impl ListSetHandle<'_, '_, '_> {
     pub fn remove(&mut self, k: u64) -> bool {
         let t = self.thread;
         loop {
-            let w = self.set.find(t, k);
+            let w = find(&mut PlainMem { t }, self.set.head, k);
             if !w.found {
                 return false;
             }
@@ -160,24 +193,8 @@ impl ListSetHandle<'_, '_, '_> {
 
     /// Membership test (read-only: skips marked nodes without helping).
     pub fn contains(&mut self, k: u64) -> bool {
-        let t = self.thread;
-        let mut node = enc_addr(t.read(self.set.head));
-        while !node.is_null() {
-            let next = t.read(next_addr(node));
-            let ck = t.read(value_addr(node));
-            if !enc_marked(next) {
-                if ck == k {
-                    return true;
-                }
-                if ck > k {
-                    return false;
-                }
-            }
-            node = enc_addr(next);
-        }
-        false
+        contains_walk(&mut PlainMem { t: self.thread }, self.set.head, k)
     }
-
 }
 
 impl StructHandle for ListSetHandle<'_, '_, '_> {

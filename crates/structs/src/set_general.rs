@@ -4,8 +4,8 @@
 //! The shape differs from every other structure in the workspace: a remove is
 //! a **two-CAS protocol**. Only the first CAS — the logical mark, the
 //! operation's linearization point — needs exactly-once recovery, so only it
-//! heads a CAS-Read capsule with [`recoverable_cas`]. The physical unlink (and
-//! every unlink a traversal performs over marked nodes it walks) is
+//! heads a CAS-Read capsule with the simulator's recoverable CAS. The physical
+//! unlink (and every unlink a traversal performs over marked nodes it walks) is
 //! parallelizable helping: safe to repeat, harmless to lose, so it uses the
 //! *anonymous* CAS exactly as §7 prescribes for generator/wrap-up CASes — it
 //! neither consumes a sequence number nor clobbers the notification owed to a
@@ -18,14 +18,14 @@
 //! use [`SET_RCAS_LAYOUT`](crate::node::SET_RCAS_LAYOUT) rather than the
 //! default 32-bit-value layout.
 
-use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use delayfree::CasReadSimulator;
 use pmem::{PAddr, PThread};
-use rcas::RcasSpace;
 
 use crate::api::{bool_ret, Drain, StructHandle, StructOp};
-use crate::node::{
-    enc, enc_addr, enc_marked, next_addr, snapshot_up_to, value_addr, NODE_WORDS, SET_RCAS_LAYOUT,
-};
+use crate::node::{enc, next_addr, snapshot_up_to, value_addr, NODE_WORDS, SET_RCAS_LAYOUT};
+use crate::set::{contains_walk, count_keys, find};
+use crate::word_mem::SpaceMem;
 
 // Persisted local slots (user indices).
 const L_KEY: usize = 0;
@@ -53,23 +53,11 @@ const R_DONE_FALSE: u32 = 14;
 const C_FIND: u32 = 20;
 const C_DONE: u32 = 21;
 
-/// Outcome of the capsule-level Harris–Michael search (all fields are
-/// boundary-persistable words).
-struct Window {
-    pred_addr: PAddr,
-    pred_enc: u64,
-    curr: PAddr,
-    curr_enc: u64,
-    found: bool,
-}
-
 /// The shared, persistent part of the transformed set.
 #[derive(Clone, Copy, Debug)]
 pub struct GeneralSet {
     head: PAddr,
-    space: RcasSpace,
-    manual: bool,
-    style: BoundaryStyle,
+    sim: CasReadSimulator,
 }
 
 impl GeneralSet {
@@ -77,28 +65,18 @@ impl GeneralSet {
     /// hand-placed flush discipline (node persisted before publication, CAS
     /// targets persisted after, durable announcements in the rcas layer).
     pub fn new(thread: &PThread<'_>, nprocs: usize, manual: bool, style: BoundaryStyle) -> GeneralSet {
-        let space = RcasSpace::new(thread, nprocs, SET_RCAS_LAYOUT).with_durability(manual);
+        let sim = CasReadSimulator::new(thread, nprocs, SET_RCAS_LAYOUT, manual, style);
         let head = thread.alloc(1);
-        space.init_word(thread, head, 0);
+        sim.space().init_word(thread, head, 0);
         if manual {
             thread.persist(head);
         }
-        GeneralSet {
-            head,
-            space,
-            manual,
-            style,
-        }
-    }
-
-    /// The recoverable-CAS space used by this set.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
+        GeneralSet { head, sim }
     }
 
     /// Create the calling thread's handle (allocating its capsule frame).
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> GeneralSetHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style, SET_GENERAL_LOCALS);
+        let rt = self.sim.runtime(thread, SET_GENERAL_LOCALS);
         GeneralSetHandle { set: self, rt }
     }
 
@@ -107,89 +85,13 @@ impl GeneralSet {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> GeneralSetHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::attach_from_restart_pointer(thread, self.style, SET_GENERAL_LOCALS);
+        let rt = self.sim.attach(thread, SET_GENERAL_LOCALS);
         GeneralSetHandle { set: self, rt }
-    }
-
-    /// Harris–Michael search with anonymous helping unlinks (see module docs).
-    fn find(&self, t: &PThread<'_>, k: u64) -> Window {
-        'retry: loop {
-            let mut pred_addr = self.head;
-            let mut pred_enc = self.space.read(t, pred_addr);
-            loop {
-                let curr = enc_addr(pred_enc);
-                if curr.is_null() {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc: 0,
-                        found: false,
-                    };
-                }
-                let curr_enc = self.space.read(t, next_addr(curr));
-                if enc_marked(curr_enc) {
-                    let unmarked = enc(enc_addr(curr_enc), false);
-                    if !self.space.cas_anonymous(t, pred_addr, pred_enc, unmarked) {
-                        continue 'retry;
-                    }
-                    if self.manual {
-                        t.flush(pred_addr);
-                    }
-                    pred_enc = unmarked;
-                    continue;
-                }
-                let ck = t.read(value_addr(curr));
-                if ck >= k {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc,
-                        found: ck == k,
-                    };
-                }
-                pred_addr = next_addr(curr);
-                pred_enc = curr_enc;
-            }
-        }
     }
 
     /// Count the unmarked keys (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = enc_addr(self.space.read(thread, self.head));
-        while !node.is_null() {
-            let next = self.space.read(thread, next_addr(node));
-            if !enc_marked(next) {
-                count += 1;
-            }
-            node = enc_addr(next);
-        }
-        count
-    }
-
-    /// Flush + fence a line, per the manual-durability discipline (the compact
-    /// style elides the fence before a CAS: the lock prefix orders the flush).
-    fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        if self.style != BoundaryStyle::Compact {
-            thread.fence();
-        }
-    }
-
-    /// Flush + fence unconditionally: for persists followed by a capsule
-    /// boundary, whose release-store control write (unlike a locked CAS) does
-    /// not order earlier flushes — the frame could persist without the node.
-    fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        thread.fence();
+        count_keys(&mut SpaceMem::new(self.sim.space(), thread), self.head)
     }
 
     // ----- capsule bodies --------------------------------------------------------
@@ -201,24 +103,24 @@ impl GeneralSet {
 
     /// One insert capsule (entry pc [`I_FIND`]).
     fn insert_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
-        let space = self.space;
+        let sim = &self.sim;
         match rt.pc() {
             // Search capsule (reads + anonymous helping): locate the window,
             // allocate and initialise the node.
             I_FIND => {
                 let k = rt.local(L_KEY);
                 let t = rt.thread();
-                let w = self.find(t, k);
+                let w = find(&mut SpaceMem::new(sim.space(), t), self.head, k);
                 if w.found {
                     rt.finish_boundary(I_DONE_FALSE);
                     return CapsuleStep::Done(false);
                 }
                 let node = t.alloc(NODE_WORDS);
                 t.write(value_addr(node), k);
-                space.init_word(t, next_addr(node), w.pred_enc);
+                sim.space().init_word(t, next_addr(node), w.pred_enc);
                 // The I_CAS boundary (not a CAS) publishes the node pointer
                 // next, so the fence cannot be elided here.
-                self.persist_line_before_boundary(t, node);
+                sim.persist_before_boundary(t, node);
                 rt.set_local_addr(L_PRED_ADDR, w.pred_addr);
                 rt.set_local(L_PRED_ENC, w.pred_enc);
                 rt.set_local_addr(L_NODE, node);
@@ -230,9 +132,9 @@ impl GeneralSet {
                 let pred_addr = rt.local_addr(L_PRED_ADDR);
                 let expected = rt.local(L_PRED_ENC);
                 let node = rt.local_addr(L_NODE);
-                let ok = recoverable_cas(rt, &space, pred_addr, expected, enc(node, false));
+                let ok = sim.capsule_cas(rt, pred_addr, expected, enc(node, false));
                 if ok {
-                    self.persist_line(rt.thread(), pred_addr);
+                    sim.persist(rt.thread(), pred_addr);
                     rt.finish_boundary(I_DONE_TRUE);
                     CapsuleStep::Done(true)
                 } else {
@@ -248,12 +150,12 @@ impl GeneralSet {
 
     /// One remove capsule (entry pc [`R_FIND`]).
     fn remove_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
-        let space = self.space;
+        let sim = &self.sim;
         match rt.pc() {
             // Search capsule: locate the victim's window.
             R_FIND => {
                 let k = rt.local(L_KEY);
-                let w = self.find(rt.thread(), k);
+                let w = find(&mut SpaceMem::new(sim.space(), rt.thread()), self.head, k);
                 if !w.found {
                     rt.finish_boundary(R_DONE_FALSE);
                     return CapsuleStep::Done(false);
@@ -271,9 +173,9 @@ impl GeneralSet {
             R_MARK => {
                 let curr_next = rt.local_addr(L_CURR_NEXT);
                 let curr_enc = rt.local(L_CURR_ENC);
-                let ok = recoverable_cas(rt, &space, curr_next, curr_enc, curr_enc | 1);
+                let ok = sim.capsule_cas(rt, curr_next, curr_enc, curr_enc | 1);
                 if ok {
-                    self.persist_line(rt.thread(), curr_next);
+                    sim.persist(rt.thread(), curr_next);
                     rt.boundary(R_UNLINK);
                 } else {
                     rt.boundary(R_FIND);
@@ -287,7 +189,7 @@ impl GeneralSet {
                 let pred_addr = rt.local_addr(L_PRED_ADDR);
                 let pred_enc = rt.local(L_PRED_ENC);
                 let curr_enc = rt.local(L_CURR_ENC);
-                if space.cas_anonymous(t, pred_addr, pred_enc, curr_enc) && self.manual {
+                if sim.space().cas_anonymous(t, pred_addr, pred_enc, curr_enc) && sim.durable() {
                     t.flush(pred_addr);
                 }
                 rt.finish_boundary(R_DONE_TRUE);
@@ -301,27 +203,11 @@ impl GeneralSet {
 
     /// One contains capsule (entry pc [`C_FIND`]).
     fn contains_step(&self, rt: &mut CapsuleRuntime<'_, '_>) -> CapsuleStep<bool> {
-        let space = self.space;
         match rt.pc() {
             C_FIND => {
                 let k = rt.local(L_KEY);
                 let t = rt.thread();
-                let mut found = false;
-                let mut node = enc_addr(space.read(t, self.head));
-                while !node.is_null() {
-                    let next = space.read(t, next_addr(node));
-                    let ck = t.read(value_addr(node));
-                    if !enc_marked(next) {
-                        if ck == k {
-                            found = true;
-                            break;
-                        }
-                        if ck > k {
-                            break;
-                        }
-                    }
-                    node = enc_addr(next);
-                }
+                let found = contains_walk(&mut SpaceMem::new(self.sim.space(), t), self.head, k);
                 rt.set_local(L_CURR_ENC, found as u64);
                 rt.finish_boundary(C_DONE);
                 CapsuleStep::Done(found)
@@ -464,7 +350,7 @@ impl StructHandle for GeneralSetHandle<'_, '_, '_> {
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
         let set = self.set;
-        let space = set.space;
+        let space = set.sim.space();
         let t = self.rt.thread();
         snapshot_up_to(
             max,

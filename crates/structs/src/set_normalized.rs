@@ -9,8 +9,7 @@
 //!   anonymous CAS), since they target words the executor also CASes;
 //! * the **executor** performs the operation's single linearizing CAS (the
 //!   window link for an insert, the logical mark for a remove) with the
-//!   recoverable CAS — a one-entry list, so the inline-list optimisation
-//!   always applies;
+//!   recoverable CAS — a one-entry list, which rides in the capsule frame;
 //! * the **wrap-up** reports the result, and for a remove also attempts the
 //!   best-effort physical unlink (helping again, so an anonymous CAS).
 //!
@@ -20,70 +19,39 @@
 use capsules::{BoundaryStyle, CapsuleRuntime};
 use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
 use pmem::{PAddr, PThread};
-use rcas::RcasSpace;
 
 use crate::api::{bool_ret, Drain, StructHandle, StructOp};
 use crate::node::{
-    enc, enc_addr, enc_marked, next_addr, node_of_next, snapshot_up_to, value_addr, NODE_WORDS,
-    SET_RCAS_LAYOUT,
+    enc, next_addr, node_of_next, snapshot_up_to, value_addr, NODE_WORDS, SET_RCAS_LAYOUT,
 };
-
-/// Number of user locals the handle's capsule runtime needs (inline CAS lists:
-/// every set operation proposes at most one CAS).
-pub const NORMALIZED_SET_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
+use crate::set::{contains_walk, count_keys, find};
+use crate::word_mem::{CtxMem, SpaceMem};
 
 /// The shared, persistent part of the normalized set.
 #[derive(Clone, Copy, Debug)]
 pub struct NormalizedSet {
     head: PAddr,
-    space: RcasSpace,
-    manual: bool,
-    optimised: bool,
+    sim: NormalizedSimulator,
 }
 
 impl NormalizedSet {
     /// Create an empty set for `nprocs` processes. `manual` selects the
     /// hand-placed flush discipline; `optimised` the compact-frame style.
     pub fn new(thread: &PThread<'_>, nprocs: usize, manual: bool, optimised: bool) -> NormalizedSet {
-        let space = RcasSpace::new(thread, nprocs, SET_RCAS_LAYOUT).with_durability(manual);
+        let style = BoundaryStyle::from_optimised(optimised);
+        let sim = NormalizedSimulator::new(thread, nprocs, SET_RCAS_LAYOUT, manual, style);
         let head = thread.alloc(1);
-        space.init_word(thread, head, 0);
+        sim.space().init_word(thread, head, 0);
         if manual {
             thread.persist(head);
         }
-        NormalizedSet {
-            head,
-            space,
-            manual,
-            optimised,
-        }
-    }
-
-    /// The recoverable-CAS space used by this set.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    fn style(&self) -> BoundaryStyle {
-        if self.optimised {
-            BoundaryStyle::Compact
-        } else {
-            BoundaryStyle::General
-        }
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        NormalizedSimulator::new(self.space, self.manual).with_inline_lists()
+        NormalizedSet { head, sim }
     }
 
     /// Create the calling thread's handle (allocating its capsule frame).
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> NormalizedSetHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style(), NORMALIZED_SET_LOCALS);
-        NormalizedSetHandle {
-            set: self,
-            sim: self.simulator(),
-            rt,
-        }
+        let rt = self.sim.runtime(thread);
+        NormalizedSetHandle { set: self, rt }
     }
 
     /// Re-attach a handle after a restart (resumes from the restart pointer).
@@ -91,81 +59,14 @@ impl NormalizedSet {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> NormalizedSetHandle<'q, 't, 'm> {
-        let rt =
-            CapsuleRuntime::attach_from_restart_pointer(thread, self.style(), NORMALIZED_SET_LOCALS);
-        NormalizedSetHandle {
-            set: self,
-            sim: self.simulator(),
-            rt,
-        }
-    }
-
-    /// Harris–Michael search inside a parallelizable method: anonymous helping
-    /// unlinks via the ctx, restart from the head on a lost race.
-    fn find(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: u64) -> Window {
-        'retry: loop {
-            let mut pred_addr = self.head;
-            let mut pred_enc = ctx.read(pred_addr);
-            loop {
-                let curr = enc_addr(pred_enc);
-                if curr.is_null() {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc: 0,
-                        found: false,
-                    };
-                }
-                let curr_enc = ctx.read(next_addr(curr));
-                if enc_marked(curr_enc) {
-                    let unmarked = enc(enc_addr(curr_enc), false);
-                    if !ctx.helping_cas(pred_addr, pred_enc, unmarked) {
-                        continue 'retry;
-                    }
-                    if self.manual {
-                        ctx.thread().flush(pred_addr);
-                    }
-                    pred_enc = unmarked;
-                    continue;
-                }
-                let ck = ctx.read_plain(value_addr(curr));
-                if ck >= k {
-                    return Window {
-                        pred_addr,
-                        pred_enc,
-                        curr,
-                        curr_enc,
-                        found: ck == k,
-                    };
-                }
-                pred_addr = next_addr(curr);
-                pred_enc = curr_enc;
-            }
-        }
+        let rt = self.sim.attach(thread);
+        NormalizedSetHandle { set: self, rt }
     }
 
     /// Count the unmarked keys (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
-        let mut count = 0;
-        let mut node = enc_addr(self.space.read(thread, self.head));
-        while !node.is_null() {
-            let next = self.space.read(thread, next_addr(node));
-            if !enc_marked(next) {
-                count += 1;
-            }
-            node = enc_addr(next);
-        }
-        count
+        count_keys(&mut SpaceMem::new(self.sim.space(), thread), self.head)
     }
-}
-
-struct Window {
-    pred_addr: PAddr,
-    pred_enc: u64,
-    curr: PAddr,
-    curr_enc: u64,
-    found: bool,
 }
 
 /// The normalized insert: the generator searches (and allocates the node); the
@@ -181,14 +82,14 @@ impl NormalizedOp for InsertOp {
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: &u64) -> CasList {
         let s = &self.set;
-        let w = s.find(ctx, *k);
+        let w = find(&mut CtxMem { ctx }, s.head, *k);
         if w.found {
             return Vec::new();
         }
         let node = ctx.alloc(NODE_WORDS);
         ctx.write_private(value_addr(node), *k);
-        s.space.init_word(ctx.thread(), next_addr(node), w.pred_enc);
-        if s.manual {
+        ctx.space().init_word(ctx.thread(), next_addr(node), w.pred_enc);
+        if s.sim.durable() {
             ctx.persist(node);
         }
         vec![CasDesc::new(w.pred_addr, w.pred_enc, enc(node, false))]
@@ -225,8 +126,7 @@ impl NormalizedOp for RemoveOp {
     type Output = bool;
 
     fn generator(&self, ctx: &mut NormalizedCtx<'_, '_, '_>, k: &u64) -> CasList {
-        let s = &self.set;
-        let w = s.find(ctx, *k);
+        let w = find(&mut CtxMem { ctx }, self.set.head, *k);
         if !w.found {
             return Vec::new();
         }
@@ -254,7 +154,7 @@ impl NormalizedOp for RemoveOp {
         let c = &cas_list[0];
         let pred_addr = PAddr::from_raw(c.aux);
         let victim = node_of_next(c.obj);
-        if ctx.helping_cas(pred_addr, enc(victim, false), c.expected) && self.set.manual {
+        if ctx.helping_cas(pred_addr, enc(victim, false), c.expected) && self.set.sim.durable() {
             ctx.thread().flush(pred_addr);
         }
         WrapUp::Done(true)
@@ -282,29 +182,13 @@ impl NormalizedOp for ContainsOp {
         _cas_list: &CasList,
         _executed: usize,
     ) -> WrapUp<bool> {
-        let s = &self.set;
-        let mut node = enc_addr(ctx.read(s.head));
-        while !node.is_null() {
-            let next = ctx.read(next_addr(node));
-            let ck = ctx.read_plain(value_addr(node));
-            if !enc_marked(next) {
-                if ck == *k {
-                    return WrapUp::Done(true);
-                }
-                if ck > *k {
-                    return WrapUp::Done(false);
-                }
-            }
-            node = enc_addr(next);
-        }
-        WrapUp::Done(false)
+        WrapUp::Done(contains_walk(&mut CtxMem { ctx }, self.set.head, *k))
     }
 }
 
 /// Per-thread handle for the normalized set.
 pub struct NormalizedSetHandle<'q, 't, 'm> {
     set: &'q NormalizedSet,
-    sim: NormalizedSimulator,
     rt: CapsuleRuntime<'t, 'm>,
 }
 
@@ -322,19 +206,19 @@ impl<'q, 't, 'm> NormalizedSetHandle<'q, 't, 'm> {
     /// Insert `k` (detectably); returns whether it was absent.
     pub fn insert(&mut self, k: u64) -> bool {
         let op = InsertOp { set: *self.set };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.set.sim.run(&mut self.rt, &op, &k)
     }
 
     /// Remove `k` (detectably); returns whether it was present.
     pub fn remove(&mut self, k: u64) -> bool {
         let op = RemoveOp { set: *self.set };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.set.sim.run(&mut self.rt, &op, &k)
     }
 
     /// Membership test (detectably reported).
     pub fn contains(&mut self, k: u64) -> bool {
         let op = ContainsOp { set: *self.set };
-        self.sim.run(&mut self.rt, &op, &k)
+        self.set.sim.run(&mut self.rt, &op, &k)
     }
 }
 
@@ -350,7 +234,7 @@ impl StructHandle for NormalizedSetHandle<'_, '_, '_> {
 
     fn drain_up_to(&mut self, max: usize) -> Drain {
         let set = self.set;
-        let space = set.space;
+        let space = set.sim.space();
         let t = self.rt.thread();
         snapshot_up_to(
             max,

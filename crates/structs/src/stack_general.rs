@@ -10,9 +10,10 @@
 //! operation — which makes it the sharpest detectability probe: *every* crash
 //! point is adjacent to the linearization point.
 
-use capsules::{recoverable_cas, BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use capsules::{BoundaryStyle, CapsuleRuntime, CapsuleStep};
+use delayfree::CasReadSimulator;
 use pmem::{PAddr, PThread};
-use rcas::{RcasLayout, RcasSpace};
+use rcas::RcasLayout;
 
 use crate::api::{drain_by_pops, Drain, StructHandle, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
@@ -38,9 +39,7 @@ const P_DONE_NONE: u32 = 13;
 #[derive(Clone, Copy, Debug)]
 pub struct GeneralStack {
     top: PAddr,
-    space: RcasSpace,
-    manual: bool,
-    style: BoundaryStyle,
+    sim: CasReadSimulator,
 }
 
 impl GeneralStack {
@@ -54,28 +53,18 @@ impl GeneralStack {
         manual: bool,
         style: BoundaryStyle,
     ) -> GeneralStack {
-        let space = RcasSpace::new(thread, nprocs, RcasLayout::DEFAULT).with_durability(manual);
+        let sim = CasReadSimulator::new(thread, nprocs, RcasLayout::DEFAULT, manual, style);
         let top = thread.alloc(1);
-        space.init_word(thread, top, 0);
+        sim.space().init_word(thread, top, 0);
         if manual {
             thread.persist(top);
         }
-        GeneralStack {
-            top,
-            space,
-            manual,
-            style,
-        }
-    }
-
-    /// The recoverable-CAS space used by this stack.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
+        GeneralStack { top, sim }
     }
 
     /// Create the calling thread's handle (allocating its capsule frame).
     pub fn handle<'q, 't, 'm>(&'q self, thread: &'t PThread<'m>) -> GeneralStackHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style, STACK_GENERAL_LOCALS);
+        let rt = self.sim.runtime(thread, STACK_GENERAL_LOCALS);
         GeneralStackHandle { stack: self, rt }
     }
 
@@ -84,44 +73,19 @@ impl GeneralStack {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> GeneralStackHandle<'q, 't, 'm> {
-        let rt =
-            CapsuleRuntime::attach_from_restart_pointer(thread, self.style, STACK_GENERAL_LOCALS);
+        let rt = self.sim.attach(thread, STACK_GENERAL_LOCALS);
         GeneralStackHandle { stack: self, rt }
     }
 
     /// Count the elements reachable from the top (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
         let mut count = 0;
-        let mut node = PAddr::from_raw(self.space.read(thread, self.top));
+        let mut node = PAddr::from_raw(self.sim.space().read(thread, self.top));
         while !node.is_null() {
             count += 1;
             node = PAddr::from_raw(thread.read(next_addr(node)));
         }
         count
-    }
-
-    /// Flush + fence a line, per the manual-durability discipline (compact-frame
-    /// handles elide the fence before a CAS, as the -Opt queues do: the lock
-    /// prefix orders the pending flush).
-    fn persist_line(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        if self.style != BoundaryStyle::Compact {
-            thread.fence();
-        }
-    }
-
-    /// Flush + fence unconditionally: for persists followed by a capsule
-    /// boundary, whose release-store control write (unlike a locked CAS) does
-    /// not order earlier flushes — the frame could persist without the node.
-    fn persist_line_before_boundary(&self, thread: &PThread<'_>, addr: PAddr) {
-        if !self.manual {
-            return;
-        }
-        thread.flush(addr);
-        thread.fence();
     }
 }
 
@@ -146,7 +110,8 @@ impl<'q, 't, 'm> GeneralStackHandle<'q, 't, 'm> {
     /// schedule).
     pub fn push(&mut self, value: u64) {
         let stack = self.stack;
-        let space = stack.space;
+        let sim = stack.sim;
+        let space = sim.space();
         self.rt.set_local(L_VAL, value);
         self.rt.run_op(S_START, |rt| {
             match rt.pc() {
@@ -160,7 +125,7 @@ impl<'q, 't, 'm> GeneralStackHandle<'q, 't, 'm> {
                     t.write(next_addr(node), top);
                     // The S_CAS boundary (not a CAS) publishes the node pointer
                     // next, so the fence cannot be elided here.
-                    stack.persist_line_before_boundary(t, node);
+                    sim.persist_before_boundary(t, node);
                     rt.set_local_addr(L_NODE, node);
                     rt.set_local(L_TOP, top);
                     rt.boundary(S_CAS);
@@ -170,9 +135,9 @@ impl<'q, 't, 'm> GeneralStackHandle<'q, 't, 'm> {
                 S_CAS => {
                     let node = rt.local(L_NODE);
                     let top = rt.local(L_TOP);
-                    let ok = recoverable_cas(rt, &space, stack.top, top, node);
+                    let ok = sim.capsule_cas(rt, stack.top, top, node);
                     if ok {
-                        stack.persist_line(rt.thread(), stack.top);
+                        sim.persist(rt.thread(), stack.top);
                         rt.finish_boundary(S_DONE);
                         CapsuleStep::Done(())
                     } else {
@@ -190,7 +155,8 @@ impl<'q, 't, 'm> GeneralStackHandle<'q, 't, 'm> {
     /// Pop the top of the stack (detectably).
     pub fn pop(&mut self) -> Option<u64> {
         let stack = self.stack;
-        let space = stack.space;
+        let sim = stack.sim;
+        let space = sim.space();
         self.rt.run_op(P_START, |rt| {
             match rt.pc() {
                 // Read-only capsule: observe top, its successor and its value.
@@ -213,9 +179,9 @@ impl<'q, 't, 'm> GeneralStackHandle<'q, 't, 'm> {
                 P_CAS => {
                     let top = rt.local(L_TOP);
                     let next = rt.local(L_NODE);
-                    let ok = recoverable_cas(rt, &space, stack.top, top, next);
+                    let ok = sim.capsule_cas(rt, stack.top, top, next);
                     if ok {
-                        stack.persist_line(rt.thread(), stack.top);
+                        sim.persist(rt.thread(), stack.top);
                         let value = rt.local(L_VAL);
                         rt.finish_boundary(P_DONE_SOME);
                         CapsuleStep::Done(Some(value))

@@ -13,65 +13,38 @@
 use capsules::{BoundaryStyle, CapsuleRuntime};
 use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
 use pmem::{PAddr, PThread};
-use rcas::{RcasLayout, RcasSpace};
+use rcas::RcasLayout;
 
 use crate::api::{drain_by_pops, Drain, StructHandle, StructOp};
 use crate::node::{next_addr, value_addr, NODE_WORDS};
-
-/// Number of user locals the handle's capsule runtime needs (inline CAS lists
-/// always fit: every stack operation proposes at most one CAS).
-pub const NORMALIZED_STACK_LOCALS: usize = delayfree::NORMALIZED_INLINE_LOCALS;
 
 /// The shared, persistent part of the normalized stack.
 #[derive(Clone, Copy, Debug)]
 pub struct NormalizedStack {
     /// Recoverable-CAS word holding the top node address.
     top: PAddr,
-    space: RcasSpace,
-    manual: bool,
-    optimised: bool,
+    sim: NormalizedSimulator,
 }
 
 impl NormalizedStack {
     /// Create an empty stack for `nprocs` processes. `manual` selects the
-    /// hand-placed flush discipline; `optimised` the compact-frame + inline
-    /// CAS-list configuration (the `-Opt` style of the queues).
+    /// hand-placed flush discipline; `optimised` the compact-frame style (the
+    /// `-Opt` style of the queues). Both styles keep the single-entry CAS lists
+    /// inside the capsule frame.
     pub fn new(
         thread: &PThread<'_>,
         nprocs: usize,
         manual: bool,
         optimised: bool,
     ) -> NormalizedStack {
-        let space = RcasSpace::new(thread, nprocs, RcasLayout::DEFAULT).with_durability(manual);
+        let style = BoundaryStyle::from_optimised(optimised);
+        let sim = NormalizedSimulator::new(thread, nprocs, RcasLayout::DEFAULT, manual, style);
         let top = thread.alloc(1);
-        space.init_word(thread, top, 0);
+        sim.space().init_word(thread, top, 0);
         if manual {
             thread.persist(top);
         }
-        NormalizedStack {
-            top,
-            space,
-            manual,
-            optimised,
-        }
-    }
-
-    /// The recoverable-CAS space used by this stack.
-    pub fn space(&self) -> &RcasSpace {
-        &self.space
-    }
-
-    fn style(&self) -> BoundaryStyle {
-        if self.optimised {
-            BoundaryStyle::Compact
-        } else {
-            BoundaryStyle::General
-        }
-    }
-
-    fn simulator(&self) -> NormalizedSimulator {
-        // Stack CAS lists have at most one entry, so they always fit inline.
-        NormalizedSimulator::new(self.space, self.manual).with_inline_lists()
+        NormalizedStack { top, sim }
     }
 
     /// Create the calling thread's handle (allocating its capsule frame).
@@ -79,12 +52,8 @@ impl NormalizedStack {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> NormalizedStackHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::new(thread, self.style(), NORMALIZED_STACK_LOCALS);
-        NormalizedStackHandle {
-            stack: self,
-            sim: self.simulator(),
-            rt,
-        }
+        let rt = self.sim.runtime(thread);
+        NormalizedStackHandle { stack: self, rt }
     }
 
     /// Re-attach a handle after a restart (resumes from the restart pointer).
@@ -92,22 +61,14 @@ impl NormalizedStack {
         &'q self,
         thread: &'t PThread<'m>,
     ) -> NormalizedStackHandle<'q, 't, 'm> {
-        let rt = CapsuleRuntime::attach_from_restart_pointer(
-            thread,
-            self.style(),
-            NORMALIZED_STACK_LOCALS,
-        );
-        NormalizedStackHandle {
-            stack: self,
-            sim: self.simulator(),
-            rt,
-        }
+        let rt = self.sim.attach(thread);
+        NormalizedStackHandle { stack: self, rt }
     }
 
     /// Count the elements reachable from the top (diagnostic; not linearizable).
     pub fn len(&self, thread: &PThread<'_>) -> usize {
         let mut count = 0;
-        let mut node = PAddr::from_raw(self.space.read(thread, self.top));
+        let mut node = PAddr::from_raw(self.sim.space().read(thread, self.top));
         while !node.is_null() {
             count += 1;
             node = PAddr::from_raw(thread.read(next_addr(node)));
@@ -134,7 +95,7 @@ impl NormalizedOp for PushOp {
         ctx.write_private(value_addr(node), *value);
         let top = ctx.read(s.top);
         ctx.write_private(next_addr(node), top);
-        if s.manual {
+        if s.sim.durable() {
             ctx.persist(node);
         }
         vec![CasDesc::new(s.top, top, node.to_raw())]
@@ -198,7 +159,6 @@ impl NormalizedOp for PopOp {
 /// Per-thread handle for the normalized stack.
 pub struct NormalizedStackHandle<'q, 't, 'm> {
     stack: &'q NormalizedStack,
-    sim: NormalizedSimulator,
     rt: CapsuleRuntime<'t, 'm>,
 }
 
@@ -216,13 +176,13 @@ impl<'q, 't, 'm> NormalizedStackHandle<'q, 't, 'm> {
     /// Push `value` onto the stack (detectably).
     pub fn push(&mut self, value: u64) {
         let op = PushOp { stack: *self.stack };
-        self.sim.run(&mut self.rt, &op, &value)
+        self.stack.sim.run(&mut self.rt, &op, &value)
     }
 
     /// Pop the top of the stack (detectably).
     pub fn pop(&mut self) -> Option<u64> {
         let op = PopOp { stack: *self.stack };
-        self.sim.run(&mut self.rt, &op, &())
+        self.stack.sim.run(&mut self.rt, &op, &())
     }
 }
 

@@ -7,12 +7,10 @@
 //! cargo run -p delayfree-examples --release --bin bank_transfer
 //! ```
 
-use capsules::{BoundaryStyle, CapsuleRuntime};
-use delayfree::{
-    CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp, NORMALIZED_LOCALS,
-};
+use capsules::BoundaryStyle;
+use delayfree::{CasDesc, CasList, NormalizedCtx, NormalizedOp, NormalizedSimulator, WrapUp};
 use pmem::{install_quiet_crash_hook, CrashPolicy, PAddr, PMem};
-use rcas::RcasSpace;
+use rcas::RcasLayout;
 
 /// Move `amount` from one account to another; fails (restarts) under contention.
 struct Transfer {
@@ -63,10 +61,10 @@ fn main() {
     install_quiet_crash_hook();
     let mem = PMem::with_threads(1);
     let t = mem.thread(0);
-    let space = RcasSpace::with_default_layout(&t, 1);
+    let sim = NormalizedSimulator::new(&t, 1, RcasLayout::DEFAULT, true, BoundaryStyle::General);
+    let space = sim.space();
     let accounts: Vec<PAddr> = (0..ACCOUNTS).map(|_| space.create(&t, INITIAL).addr()).collect();
-    let sim = NormalizedSimulator::new(space, true);
-    let mut rt = CapsuleRuntime::new(&t, BoundaryStyle::General, NORMALIZED_LOCALS);
+    let mut rt = sim.runtime(&t);
 
     // Random-ish transfers with aggressive crash injection.
     t.set_crash_policy(CrashPolicy::Random { prob: 0.01, seed: 2024 });
